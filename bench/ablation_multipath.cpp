@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "trial_runner.h"
 #include "util/stats.h"
@@ -52,8 +52,8 @@ Row run(bool multipath, std::uint32_t f, std::size_t trials,
         const auto malicious = vmat::choose_malicious(topo, f, seed);
         vmat::Network net(topo, bench_keys(seed));
         vmat::Adversary adv(&net, malicious,
-                            std::make_unique<vmat::SilentDropStrategy>(
-                                vmat::LiePolicy::kDenyAll));
+                            vmat::campaign::make_named_strategy(
+                                "silent", vmat::LiePolicy::kDenyAll));
         vmat::CoordinatorSpec cfg;
         cfg.depth_bound = topo.depth(malicious);
         cfg.multipath = multipath;

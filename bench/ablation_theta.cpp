@@ -14,7 +14,7 @@
 #include <memory>
 #include <string>
 
-#include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "trial_runner.h"
 #include "util/random.h"
@@ -88,8 +88,11 @@ CampaignCost run_campaign(std::uint32_t theta, std::uint64_t seed) {
   netcfg.revocation_threshold = theta;
   vmat::Network net(topo, netcfg);
   vmat::Adversary adv(&net, {attacker},
-                      std::make_unique<vmat::JunkInjectStrategy>(
-                          vmat::LiePolicy::kDenyAll, /*frame=*/false));
+                      std::make_unique<vmat::campaign::PredicatedStrategy>(
+                          vmat::campaign::AttackPolicy{
+                              .agg = vmat::campaign::AggAction::kInjectJunk,
+                              .frame_honest_origin = false},
+                          vmat::campaign::first_slot()));
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound =
       topo.depth(std::unordered_set<vmat::NodeId>{attacker}) + 2;

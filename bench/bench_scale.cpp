@@ -18,7 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "sim/fabric.h"
 #include "trial_runner.h"
@@ -218,8 +218,8 @@ int main() {
           [&](std::size_t t, vmat::Rng&) {
             vmat::Network net(topo, bench_keys(n));
             vmat::Adversary adv(&net, malicious,
-                                std::make_unique<vmat::SilentDropStrategy>(
-                                    vmat::LiePolicy::kDenyAll));
+                                vmat::campaign::make_named_strategy(
+                                    "silent", vmat::LiePolicy::kDenyAll));
             vmat::CoordinatorSpec cfg;
             cfg.depth_bound = topo.depth(malicious);
             vmat::VmatCoordinator coordinator(&net, &adv, cfg);

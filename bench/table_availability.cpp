@@ -15,11 +15,11 @@
 #include <memory>
 
 #include "baseline/sampling.h"
+#include "campaign/strategy.h"
 #include "util/random.h"
 #include "baseline/secoa.h"
 #include "baseline/shia.h"
 #include "baseline/tag.h"
-#include "attack/strategies.h"
 #include "core/coordinator.h"
 #include "util/stats.h"
 
@@ -124,8 +124,8 @@ int main() {
     vmat::Network net(topo, bench_keys());
     (void)net.establish_path_keys();
     vmat::Adversary adv(&net, malicious,
-                        std::make_unique<vmat::ChokeVetoStrategy>(
-                            vmat::LiePolicy::kDenyAll));
+                        vmat::campaign::make_named_strategy(
+                            "choke", vmat::LiePolicy::kDenyAll));
     vmat::CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     vmat::VmatCoordinator coordinator(&net, &adv, cfg);

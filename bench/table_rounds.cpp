@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <memory>
 
-#include "attack/strategies.h"
 #include "baseline/sampling.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "util/stats.h"
 
@@ -83,7 +83,8 @@ int main() {
       vmat::Network net(std::move(g.topo), bench_keys(depth));
       vmat::Adversary adv(
           &net, {g.malicious},
-          std::make_unique<vmat::SilentDropStrategy>(vmat::LiePolicy::kDenyAll));
+          vmat::campaign::make_named_strategy("silent",
+                                              vmat::LiePolicy::kDenyAll));
       vmat::CoordinatorSpec cfg;
       cfg.depth_bound =
           net.topology().depth(std::unordered_set<vmat::NodeId>{g.malicious});

@@ -52,7 +52,7 @@ int main() {
 
   vmat::Adversary adversary(
       &net, captured,
-      std::make_unique<vmat::ValueDropStrategy>(vmat::LiePolicy::kRandom));
+      vmat::campaign::make_named_strategy("drop", vmat::LiePolicy::kRandom));
 
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound = topology.depth(captured);

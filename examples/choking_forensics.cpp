@@ -23,7 +23,7 @@ int main() {
   const auto malicious = vmat::choose_malicious(topology, 1, 21);
   vmat::Adversary adversary(
       &net, malicious,
-      std::make_unique<vmat::ChokeVetoStrategy>(vmat::LiePolicy::kDenyAll));
+      vmat::campaign::make_named_strategy("choke", vmat::LiePolicy::kDenyAll));
 
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound = topology.depth(malicious);

@@ -30,9 +30,13 @@ int main() {
               attacker.value, topology.degree(attacker),
               netcfg.keys.ring_size, netcfg.revocation_threshold);
 
-  vmat::Adversary adversary(&net, {attacker},
-                            std::make_unique<vmat::JunkInjectStrategy>(
-                                vmat::LiePolicy::kDenyAll, /*frame=*/false));
+  vmat::Adversary adversary(
+      &net, {attacker},
+      std::make_unique<vmat::campaign::PredicatedStrategy>(
+          vmat::campaign::AttackPolicy{
+              .agg = vmat::campaign::AggAction::kInjectJunk,
+              .frame_honest_origin = false},
+          vmat::campaign::first_slot()));
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound =
       topology.depth(std::unordered_set<vmat::NodeId>{attacker}) + 2;

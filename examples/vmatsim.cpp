@@ -29,7 +29,7 @@
 // --daemon starts vmatd: N independent tenants served over the frame
 // protocol (src/serve/protocol.h) on stdin/stdout, or on a Unix socket
 // with --socket PATH (accepts one session). The first A tenants host a
-// ChokeVeto adversary compromising --f nodes each. --trace records
+// choke adversary compromising --f nodes each. --trace records
 // tenant 0's epoch formations and serving executions and writes the JSON
 // after the session ends (the frame stream itself stays clean).
 #include <sys/socket.h>
@@ -199,43 +199,10 @@ vmat::SimulationSpec make_spec(Options& o) {
   return spec;
 }
 
-/// The classic named attacks, described declaratively (the AttackSpec path —
-/// the zoo subclasses these mirror remain only for attacks whose behavior is
-/// not expressible as a policy x predicate genome).
-bool describe_attack(const std::string& name, vmat::AttackSpec& attack) {
-  using vmat::campaign::AggAction;
-  using vmat::campaign::AttackPolicy;
-  using vmat::campaign::AttackPredicate;
-  using vmat::campaign::ConfAction;
-  // The zoo's choking attacks all strike in the first slot only.
-  const AttackPredicate first_slot =
-      AttackPredicate::slot_at_least(1) && !AttackPredicate::slot_at_least(2);
-  AttackPolicy policy;
-  if (name == "silent") {
-    attack.policy(policy);
-  } else if (name == "drop") {
-    policy.agg = AggAction::kForwardMax;
-    policy.lie = vmat::LiePolicy::kRandom;
-    attack.policy(policy);
-  } else if (name == "junk") {
-    policy.agg = AggAction::kInjectJunk;
-    attack.policy(policy).when(first_slot);
-  } else if (name == "choke") {
-    policy.conf = ConfAction::kChokeVeto;
-    attack.policy(policy).when(first_slot);
-  } else if (name == "selfveto") {
-    policy.conf = ConfAction::kSelfVeto;
-    policy.self_veto_value = 1;
-    attack.policy(policy).when(first_slot);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Zoo strategies with behavior outside the declarative genome (physical
-/// wormholes, per-slot coin flips, malformed frames).
-std::unique_ptr<vmat::AdversaryStrategy> make_zoo_strategy(const Options& o) {
+/// Strategies outside the declarative genome: they act in tree formation
+/// (wormholes, per-slot coin flips, malformed frames).
+std::unique_ptr<vmat::AdversaryStrategy> make_tree_phase_strategy(
+    const Options& o) {
   using namespace vmat;
   if (o.attack == "wormhole")
     return std::make_unique<WormholeStrategy>(100, LiePolicy::kDenyAll);
@@ -246,8 +213,8 @@ std::unique_ptr<vmat::AdversaryStrategy> make_zoo_strategy(const Options& o) {
   std::exit(2);
 }
 
-/// Place the configured adversary: the declarative AttackSpec path when the
-/// attack is expressible as policy x predicate, the zoo otherwise.
+/// Place the configured adversary: a named attack (campaign::named_attacks)
+/// through the declarative AttackSpec, a tree-phase strategy otherwise.
 std::unique_ptr<vmat::Adversary> make_adversary(const Options& o,
                                                 vmat::SimulationSpec& spec,
                                                 vmat::Network& net) {
@@ -255,8 +222,12 @@ std::unique_ptr<vmat::Adversary> make_adversary(const Options& o,
     return std::make_unique<vmat::Adversary>(
         &net, std::unordered_set<vmat::NodeId>{},
         std::make_unique<vmat::NullStrategy>());
-  if (describe_attack(o.attack, spec.attack())) {
-    spec.attack().compromised(o.f).placement_seed(o.seed + 17);
+  if (const auto* attack = vmat::campaign::find_attack(o.attack)) {
+    spec.attack()
+        .compromised(o.f)
+        .placement_seed(o.seed + 17)
+        .policy(attack->policy)
+        .when(attack->when);
     auto built = spec.build_adversary(net);
     if (!built.has_value()) {
       std::fprintf(stderr, "vmatsim: %s\n", built.error().to_string().c_str());
@@ -266,7 +237,7 @@ std::unique_ptr<vmat::Adversary> make_adversary(const Options& o,
   }
   auto malicious = vmat::choose_malicious(net.topology(), o.f, o.seed + 17);
   return std::make_unique<vmat::Adversary>(&net, std::move(malicious),
-                                           make_zoo_strategy(o));
+                                           make_tree_phase_strategy(o));
 }
 
 /// Round-robin over the engine's query kinds so a --serve run exercises

@@ -1,34 +1,32 @@
-// Concrete adversary strategies — the attack zoo used by tests, benches,
-// and examples. Each models an attack family the paper discusses:
+// Adversary strategies outside the declarative genome, plus the attack
+// building blocks every strategy shares:
 //
 //   NullStrategy        dormant (passthrough) — the no-attack control.
-//   SilentDropStrategy  malicious sensors transmit nothing at all, so every
-//                       value routed through them is silently dropped
-//                       (Section IV-B dropping attack).
-//   ValueDropStrategy   participates but forwards the *largest* collected
-//                       value instead of the smallest — the stealthy form
-//                       of the dropping attack.
-//   JunkInjectStrategy  injects spurious minima (invalid sensor MACs, tiny
-//                       values, framed origins) during aggregation
-//                       (Figure 1 step 4).
-//   ChokeVetoStrategy   drops during aggregation, then floods spurious
-//                       vetoes in SOF slot 1 to beat legitimate vetoes to
-//                       every one-time forwarder — the choking attack of
-//                       Section IV-C.
-//   SelfVetoStrategy    hides its own small reading during aggregation and
-//                       then vetoes it with a *valid* MAC (the "legitimate
-//                       veto from a malicious sensor" case of Theorem 2).
+//   PolicyStrategy      base with the shared predicate-answer policy and
+//                       honest tree formation; campaign::PredicatedStrategy
+//                       (campaign/strategy.h) derives from it.
 //   WormholeStrategy    during tree formation, injects tree frames with
 //                       forged hop counts through a wormhole (Figure 2(c));
 //                       breaks hop-count trees, is harmless against VMAT's
 //                       timestamp trees.
-//   RandomByzantineStrategy  seeded random mixture of all of the above with
+//   RandomByzantineStrategy  seeded random mixture of every attack with
 //                       random predicate-test answers — the fuzzing
 //                       adversary for the Theorem 7 property tests.
 //
+// The paper's query-phase attacks — silent and value dropping (IV-B),
+// spurious-minimum injection (Figure 1 step 4), choking (IV-C) and the
+// Theorem 2 self-veto — are data, not classes: (AttackPolicy,
+// AttackPredicate) presets in campaign::named_attacks().
+//
+// Wormhole, RandomByzantine, Garbage and Composite (attack/composite.h)
+// stay classes because they act during tree formation, which the genome
+// deliberately leaves out: forked probes (snapshot_after_formation forks,
+// the campaign fuzzer) share one honestly formed tree, so an attack that
+// shapes the tree cannot be swapped in after the fork.
+//
 // All strategies take a LiePolicy governing how malicious key holders
-// answer keyed predicate tests: deny everything, admit everything, answer
-// randomly, or answer honestly from the node's real records.
+// answer keyed predicate tests: deny everything, admit everything, or
+// answer randomly.
 #pragma once
 
 #include <memory>
@@ -63,59 +61,9 @@ class PolicyStrategy : public AdversaryStrategy {
   Rng rng_;
 };
 
-/// Honest tree-formation behaviour for malicious sensors: rebroadcast the
-/// flood in the slot after first receipt, exactly like an honest sensor.
-void participate_in_tree_formation(AdversaryView& view, const TreeCtx& ctx);
-
 class NullStrategy final : public AdversaryStrategy {
  public:
   [[nodiscard]] bool passthrough() const override { return true; }
-};
-
-class SilentDropStrategy final : public PolicyStrategy {
- public:
-  explicit SilentDropStrategy(LiePolicy policy = LiePolicy::kDenyAll)
-      : PolicyStrategy(policy) {}
-};
-
-class ValueDropStrategy final : public PolicyStrategy {
- public:
-  explicit ValueDropStrategy(LiePolicy policy = LiePolicy::kDenyAll)
-      : PolicyStrategy(policy) {}
-
-  void on_agg_slot(AdversaryView& view, const AggCtx& ctx) override;
-};
-
-class JunkInjectStrategy final : public PolicyStrategy {
- public:
-  explicit JunkInjectStrategy(LiePolicy policy = LiePolicy::kDenyAll,
-                              bool frame_honest_origin = true)
-      : PolicyStrategy(policy), frame_honest_origin_(frame_honest_origin) {}
-
-  void on_agg_slot(AdversaryView& view, const AggCtx& ctx) override;
-
- private:
-  bool frame_honest_origin_;
-};
-
-class ChokeVetoStrategy final : public PolicyStrategy {
- public:
-  explicit ChokeVetoStrategy(LiePolicy policy = LiePolicy::kDenyAll)
-      : PolicyStrategy(policy) {}
-
-  void on_conf_slot(AdversaryView& view, const ConfCtx& ctx) override;
-};
-
-class SelfVetoStrategy final : public PolicyStrategy {
- public:
-  explicit SelfVetoStrategy(Reading hidden_value,
-                            LiePolicy policy = LiePolicy::kDenyAll)
-      : PolicyStrategy(policy), hidden_value_(hidden_value) {}
-
-  void on_conf_slot(AdversaryView& view, const ConfCtx& ctx) override;
-
- private:
-  Reading hidden_value_;
 };
 
 class WormholeStrategy final : public PolicyStrategy {

@@ -12,8 +12,8 @@
 //               !AttackPredicate::revoked_keys_at_least(4);
 //
 // With PredicatedStrategy (campaign/strategy.h) a predicate turns any
-// attack policy into *data* — (policy × predicate) replaces the hand-written
-// strategy-zoo subclass — which is what makes the strategy space searchable
+// attack policy into *data* — one (policy × predicate) pair describes any
+// query-phase attack — which is what makes the strategy space searchable
 // and serializable.
 //
 // evaluate() is PURE: const, no RNG, no mutation, no globals. The

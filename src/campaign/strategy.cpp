@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace vmat::campaign {
 namespace {
@@ -92,6 +93,7 @@ void PredicatedStrategy::on_conf_slot(AdversaryView& view, const ConfCtx& ctx) {
     case ConfAction::kSelfVeto: {
       // A self-veto only makes sense against a broadcast minimum larger
       // than the hidden reading (Theorem 2's "legitimate veto" case).
+      if (view.malicious().empty()) return;
       if ((*ctx.broadcast_minima)[0] <= policy_.self_veto_value) return;
       NodeId vetoer = *view.malicious().begin();
       for (NodeId m : view.malicious())
@@ -100,6 +102,42 @@ void PredicatedStrategy::on_conf_slot(AdversaryView& view, const ConfCtx& ctx) {
       return;
     }
   }
+}
+
+AttackPredicate first_slot() {
+  return AttackPredicate::slot_at_least(1) &&
+         !AttackPredicate::slot_at_least(2);
+}
+
+std::span<const NamedAttack> named_attacks() {
+  static const NamedAttack kAttacks[] = {
+      {"silent", {}, AttackPredicate::always()},
+      {"drop",
+       {.agg = AggAction::kForwardMax, .lie = LiePolicy::kRandom},
+       AttackPredicate::always()},
+      {"junk", {.agg = AggAction::kInjectJunk}, first_slot()},
+      {"choke", {.conf = ConfAction::kChokeVeto}, first_slot()},
+      {"selfveto",
+       {.conf = ConfAction::kSelfVeto, .self_veto_value = 1},
+       first_slot()},
+  };
+  return kAttacks;
+}
+
+const NamedAttack* find_attack(std::string_view name) {
+  for (const NamedAttack& attack : named_attacks())
+    if (attack.name == name) return &attack;
+  return nullptr;
+}
+
+std::unique_ptr<PredicatedStrategy> make_named_strategy(std::string_view name,
+                                                        LiePolicy lie) {
+  const NamedAttack* attack = find_attack(name);
+  if (attack == nullptr)
+    throw std::invalid_argument("unknown attack '" + std::string(name) + "'");
+  AttackPolicy policy = attack->policy;
+  policy.lie = lie;
+  return std::make_unique<PredicatedStrategy>(policy, attack->when);
 }
 
 namespace {

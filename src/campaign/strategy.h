@@ -1,18 +1,22 @@
 // AttackPolicy × AttackPredicate — attack strategies as data.
 //
 // AttackPolicy is the action genome: WHAT the compromised set does in each
-// query phase, drawn from the shared building blocks of the strategy zoo
+// query phase, drawn from the shared attack building blocks
 // (attack/strategies.h). AttackPredicate (campaign/predicate.h) is WHEN it
 // does it. PredicatedStrategy glues the two behind the ordinary
 // AdversaryStrategy hook interface, so one serializable (policy, predicate,
-// seed) triple replaces a hand-written PolicyStrategy subclass — which is
-// what the campaign fuzzer mutates and the corpus replays.
+// seed) triple describes any query-phase attack — which is what the
+// campaign fuzzer mutates and the corpus replays.
 //
-// The zoo subclasses remain for compatibility, but new call sites should
-// build adversaries declaratively via SimulationSpec::attack()
-// (spec/attack_spec.h); see DESIGN.md "Campaign search & predicates".
+// named_attacks() is the one table of the paper's attacks as
+// (policy, predicate) pairs, under vmatsim's --attack names. Build an
+// adversary from it with make_named_strategy(), or declaratively via
+// SimulationSpec::attack() (spec/attack_spec.h); see DESIGN.md "Campaign
+// search & predicates".
 #pragma once
 
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -63,7 +67,7 @@ struct AttackPolicy {
 [[nodiscard]] TriggerState trigger_state(const AdversaryView& view,
                                          const ConfCtx& ctx);
 
-/// Any PolicyStrategy as data: participates honestly in tree formation
+/// A query-phase attack as data: participates honestly in tree formation
 /// (inherited — the profitable play, and the behavior the shared
 /// post-formation snapshot assumes), then runs `policy` in every slot whose
 /// trigger state satisfies `when`.
@@ -83,5 +87,39 @@ class PredicatedStrategy final : public PolicyStrategy {
   AttackPolicy policy_;
   AttackPredicate when_;
 };
+
+/// The first-slot trigger, slot_at_least(1) && !slot_at_least(2): the
+/// injection and choking attacks strike once, in the phase's first slot,
+/// so they race every honest message.
+[[nodiscard]] AttackPredicate first_slot();
+
+/// One of the paper's attacks as data.
+struct NamedAttack {
+  std::string_view name;  ///< vmatsim's --attack name
+  AttackPolicy policy;
+  AttackPredicate when;
+};
+
+/// The paper's attacks:
+///   silent    transmit nothing, dropping every value routed through the
+///             compromised set (Section IV-B);
+///   drop      forward the collected maximum instead of the minimum — the
+///             stealthy dropping attack (Section IV-B);
+///   junk      inject spurious minima framing an honest neighbor in
+///             aggregation slot 1 (Figure 1 step 4);
+///   choke     flood spurious vetoes in SOF slot 1 (Section IV-C);
+///   selfveto  veto the hidden reading 1 with a valid MAC in SOF slot 1
+///             (Theorem 2's legitimate veto from a malicious sensor).
+/// Every entry denies all keyed predicate tests except drop, which answers
+/// them at random.
+[[nodiscard]] std::span<const NamedAttack> named_attacks();
+
+/// The entry called `name`, or nullptr.
+[[nodiscard]] const NamedAttack* find_attack(std::string_view name);
+
+/// A PredicatedStrategy running the named attack with predicate-test
+/// answers `lie`. Throws std::invalid_argument on an unknown name.
+[[nodiscard]] std::unique_ptr<PredicatedStrategy> make_named_strategy(
+    std::string_view name, LiePolicy lie);
 
 }  // namespace vmat::campaign

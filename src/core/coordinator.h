@@ -180,7 +180,7 @@ class VmatCoordinator {
   /// stream per fork, attach the recorder to the forking coordinator after
   /// the capture. The fork contract: the malicious
   /// *set* shaped formation and must stay fixed across forks — strategies
-  /// may diverge post-formation (every PolicyStrategy shares the honest
+  /// may diverge post-formation (every PredicatedStrategy shares the honest
   /// tree-slot behavior), rebound via set_adversary().
   [[nodiscard]] Snapshot snapshot_after_formation();
 

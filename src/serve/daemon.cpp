@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 
 namespace vmat::serve {
 
@@ -65,18 +66,24 @@ Daemon::Daemon(ServeOptions options, ThreadPool* pool)
                                   errors.front().to_string());
     tenant.net = std::make_unique<Network>(spec);
 
-    std::unordered_set<NodeId> malicious;
-    if (tenant.disrupted)
-      malicious = choose_malicious(tenant.net->topology(), options_.f,
-                                   options_.seed + 17 + t);
-    std::unique_ptr<AdversaryStrategy> strategy;
-    if (tenant.disrupted)
-      strategy = std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll);
-    else
-      strategy = std::make_unique<NullStrategy>();
-    tenant.adversary = std::make_unique<Adversary>(tenant.net.get(), malicious,
-                                                   std::move(strategy));
-    spec.depth_bound(tenant.net->topology().depth(malicious));
+    if (tenant.disrupted) {
+      const campaign::NamedAttack& choke = *campaign::find_attack("choke");
+      spec.attack()
+          .compromised(options_.f)
+          .placement_seed(options_.seed + 17 + t)
+          .policy(choke.policy)
+          .when(choke.when);
+      auto built = spec.build_adversary(*tenant.net);
+      if (!built.has_value())
+        throw std::invalid_argument("Daemon: " + built.error().to_string());
+      tenant.adversary = std::move(built.value());
+    } else {
+      tenant.adversary = std::make_unique<Adversary>(
+          tenant.net.get(), std::unordered_set<NodeId>{},
+          std::make_unique<NullStrategy>());
+    }
+    spec.depth_bound(
+        tenant.net->topology().depth(tenant.adversary->malicious()));
     tenant.coordinator = std::make_unique<VmatCoordinator>(
         tenant.net.get(), tenant.adversary.get(), spec);
     tenant.engine = std::make_unique<Engine>(tenant.coordinator.get(),

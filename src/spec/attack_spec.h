@@ -5,18 +5,16 @@
 //   spec.attack()
 //       .compromised(4)
 //       .policy({.agg = vmat::campaign::AggAction::kInjectJunk})
-//       .when(vmat::campaign::AttackPredicate::slot_at_least(1) &&
-//             !vmat::campaign::AttackPredicate::slot_at_least(2));
+//       .when(vmat::campaign::first_slot());
 //   vmat::Network net(spec);
 //   vmat::Expected<std::unique_ptr<vmat::Adversary>> adversary =
 //       spec.attack_section()->build(net);
 //
 // Malicious placement (choose_malicious under placement_seed, keeping the
 // honest subgraph connected), the action policy, and the trigger predicate
-// are all data; validate() reports typed errors instead of throwing.
-// Building an Adversary by wiring a PolicyStrategy subclass directly is the
-// deprecated path — kept for the zoo, but new call sites should describe
-// the attack here (see DESIGN.md "Campaign search & predicates").
+// are all data; validate() reports typed errors instead of throwing. The
+// paper's named attacks are ready-made (policy, when) pairs in
+// campaign::named_attacks() (see DESIGN.md "Campaign search & predicates").
 #pragma once
 
 #include <memory>
@@ -53,20 +51,9 @@ class AttackSpec {
     when_ = std::move(predicate);
     return *this;
   }
-  /// Keyed-predicate-test answer policy (shorthand for policy().lie).
-  AttackSpec& lie(LiePolicy policy) {
-    policy_.lie = policy;
-    return *this;
-  }
   /// Seed for the strategy RNG (LiePolicy::kRandom answers).
   AttackSpec& strategy_seed(std::uint64_t seed) {
     strategy_seed_ = seed;
-    return *this;
-  }
-  /// Dormant adversary: compromised sensors behave honestly (the no-attack
-  /// control). The policy/predicate are ignored.
-  AttackSpec& passthrough(bool on) {
-    passthrough_ = on;
     return *this;
   }
 
@@ -87,15 +74,14 @@ class AttackSpec {
   [[nodiscard]] std::uint64_t strategy_seed() const noexcept {
     return strategy_seed_;
   }
-  [[nodiscard]] bool passthrough() const noexcept { return passthrough_; }
 
   /// Typed validation against the deployment's sensor count. Empty = valid.
   [[nodiscard]] std::vector<Error> validate(std::uint32_t nodes) const;
 
   /// Place the adversary on `net`: choose_malicious placement + a
-  /// PredicatedStrategy from (policy, when, strategy_seed) — or a dormant
-  /// NullStrategy under passthrough(). Returns a typed error when the spec
-  /// is invalid for this deployment or no connected placement exists.
+  /// PredicatedStrategy from (policy, when, strategy_seed). Returns a typed
+  /// error when the spec is invalid for this deployment or no connected
+  /// placement exists.
   [[nodiscard]] Expected<std::unique_ptr<Adversary>> build(Network& net) const;
 
   friend bool operator==(const AttackSpec&, const AttackSpec&) = default;
@@ -106,7 +92,6 @@ class AttackSpec {
   campaign::AttackPolicy policy_{};
   campaign::AttackPredicate when_{};
   std::uint64_t strategy_seed_{7};
-  bool passthrough_{false};
 };
 
 }  // namespace vmat

@@ -20,7 +20,7 @@
 // The per-layer section types (NetworkSpec, CoordinatorSpec, ...) remain
 // available for fine-grained construction. Adversaries are described
 // declaratively through the spec's attack section (spec/attack_spec.h);
-// wiring a PolicyStrategy subclass directly is the deprecated path.
+// the paper's named attacks are presets in campaign::named_attacks().
 #pragma once
 
 #include "attack/adversary.h"        // IWYU pragma: export

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "attack/adversary.h"
-#include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "sim/network.h"
 

@@ -139,7 +139,8 @@ TEST(Aggregation, InfinityValueContributesNothing) {
 TEST(Aggregation, SilentDropLosesDeepValuesOnALine) {
   // Line 0-1-2-3-4-5 with malicious 2: everything behind it is cut off.
   Network net(Topology::line(6), dense_keys());
-  Adversary adv(&net, {NodeId{2}}, std::make_unique<SilentDropStrategy>());
+  Adversary adv(&net, {NodeId{2}},
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   AggFixture fx(Topology::line(6), nullptr);  // honest tree for levels
   // Re-run with the adversary present end to end.
   AggFixture fx2(Topology::line(6), &adv);
@@ -151,7 +152,7 @@ TEST(Aggregation, SilentDropLosesDeepValuesOnALine) {
 
 TEST(Aggregation, ValueDropForwardsMaxInstead) {
   Network net(Topology::line(6), dense_keys());
-  auto strategy = std::make_unique<ValueDropStrategy>();
+  auto strategy = campaign::make_named_strategy("drop", LiePolicy::kDenyAll);
   Adversary adv(&net, {NodeId{3}}, std::move(strategy));
   AggFixture fx(Topology::line(6), &adv);
   auto readings = default_readings(6);
@@ -167,7 +168,8 @@ TEST(Aggregation, MultipathSurvivesSingleSilentParent) {
   // min because siblings carry it around.
   const auto topo = Topology::grid(5, 5);
   Network net(topo, dense_keys());
-  Adversary adv(&net, {NodeId{6}}, std::make_unique<SilentDropStrategy>());
+  Adversary adv(&net, {NodeId{6}},
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   TreePhaseParams tp;
   tp.depth_bound = net.physical_depth();
   tp.session = 3;

@@ -65,7 +65,7 @@ TEST(AlarmOnly, PersistentChokerStallsForever) {
   const auto malicious = choose_malicious(topo, 2, 3);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   const auto campaign = run_alarm_only_campaign(
       net, &adv, default_readings(25), topo.depth(malicious), 1,
       /*max_attempts=*/25);
@@ -79,7 +79,7 @@ TEST(AlarmOnly, VmatRecoversWhereAlarmOnlyStalls) {
   const auto malicious = choose_malicious(topo, 2, 3);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);

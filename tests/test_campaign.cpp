@@ -1,13 +1,15 @@
 // Campaign-layer tests: predicate algebra (purity, De Morgan, parse
 // round-trips), policy/corpus serialization, the declarative AttackSpec
-// (validation + zoo equivalence), and the CampaignRunner fuzzer contract —
-// fixed (seed, budget) is fully deterministic, fork probes match scratch
-// probes bit-for-bit, and corpus entries replay to the same outcome digest
-// for any intra-execution thread count.
+// (validation + named-attack preset digests), and the CampaignRunner
+// fuzzer contract — fixed (seed, budget) is fully deterministic, fork
+// probes match scratch probes bit-for-bit, and corpus entries replay to
+// the same outcome digest for any intra-execution thread count.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/corpus.h"
@@ -223,36 +225,87 @@ TEST(AttackSpec, ValidatesAgainstDeployment) {
   EXPECT_EQ(built.value()->malicious().size(), 2u);
 }
 
-TEST(AttackSpec, PredicatedStrategyMatchesZooSubclass) {
-  // The declarative genome {agg: junk, frame: 0, when: first slot} must be
-  // bit-identical to the hand-written JunkInjectStrategy it subsumes.
-  const auto run = [](bool declarative) {
-    const auto topo = Topology::grid(6, 6);
-    Network net(topo, testing::dense_keys());
-    std::unique_ptr<Adversary> adv;
-    if (declarative) {
-      AttackSpec attack;
-      attack.compromised(2).placement_seed(13);
-      attack.policy({.agg = campaign::AggAction::kInjectJunk,
-                     .frame_honest_origin = false});
-      attack.when(AttackPredicate::slot_at_least(1) &&
-                  !AttackPredicate::slot_at_least(2));
-      auto built = attack.build(net);
-      EXPECT_TRUE(built.has_value());
-      adv = std::move(built.value());
-    } else {
-      adv = std::make_unique<Adversary>(
-          &net, choose_malicious(topo, 2, 13),
-          std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll, false));
-    }
-    CoordinatorSpec cfg;
-    cfg.depth_bound = topo.depth(adv->malicious()) + 2;
-    VmatCoordinator coordinator(&net, adv.get(), cfg);
-    const auto out =
-        coordinator.run_min(testing::default_readings(net.node_count()));
-    return campaign::outcome_digest(out);
+/// Outcome digest of a 12-execution run_min streak on a θ-on, sparse-ring
+/// field (n=60, f=3, θ=8) under the declared attack: long enough for
+/// pinpointing to revoke keys, for θ to fire, and for later executions to
+/// run on the shrunken key graph.
+std::uint64_t streak_digest(const AttackPolicy& policy,
+                            const AttackPredicate& when) {
+  SimulationSpec spec;
+  spec.nodes(60).key_pool(5000, 50).revocation_threshold(8).seed(5);
+  spec.attack().compromised(3).placement_seed(9).policy(policy).when(when);
+  Network net(spec);
+  auto built = spec.build_adversary(net);
+  if (!built.has_value()) {
+    ADD_FAILURE() << built.error().to_string();
+    return 0;
+  }
+  const std::unique_ptr<Adversary>& adv = built.value();
+  spec.depth_bound(net.topology().depth(adv->malicious()));
+  VmatCoordinator coordinator(&net, adv.get(), spec);
+  const auto readings = testing::default_readings(net.node_count());
+  std::uint64_t digest = 0;
+  for (int execution = 0; execution < 12; ++execution)
+    digest = digest * 0x100000001b3ULL ^
+             campaign::outcome_digest(coordinator.run_min(readings));
+  return digest;
+}
+
+TEST(AttackSpec, PresetsReproduceZooDigests) {
+  // Streak digests recorded from the hand-written strategy classes the
+  // named-attack presets replaced, per lie policy (deny, admit, random).
+  // "junk0" is junk without framing, built from an inline AttackPolicy.
+  struct Recorded {
+    std::string_view attack;
+    std::uint64_t digest[3];
   };
-  EXPECT_EQ(run(true), run(false));
+  const Recorded recorded[] = {
+    {"silent", {0x16457c138194c519, 0xf3c8b575ebcfe585, 0x368e713826bdecbe}},
+    {"drop", {0xbe9daf9fa6f0290c, 0xd299772656dae2de, 0x297bb7daf6a39be8}},
+    {"junk", {0x60725878e11fbdaf, 0x73e29ba067185902, 0x654ef650aec4affe}},
+    {"choke", {0xf848e0c1ec1f6873, 0xb50685d79cb78128, 0x6bb3c7931b510adb}},
+    {"selfveto", {0x6427c72bb740aef3, 0xa971f77f73685cac, 0xc4c17fcb33e85de1}},
+    {"junk0", {0x2b4c81c9c1fc7e59, 0x8e3cd6c1f69a8a3c, 0x719b876d9fa90403}},
+  };
+  const LiePolicy lies[] = {LiePolicy::kDenyAll, LiePolicy::kAdmitAll,
+                            LiePolicy::kRandom};
+  ASSERT_EQ(campaign::named_attacks().size(), 5u);  // every entry recorded
+  for (const Recorded& r : recorded)
+    for (int i = 0; i < 3; ++i) {
+      campaign::NamedAttack attack{
+          r.attack,
+          {.agg = campaign::AggAction::kInjectJunk,
+           .frame_honest_origin = false},
+          campaign::first_slot()};
+      if (r.attack != "junk0") {
+        ASSERT_NE(campaign::find_attack(r.attack), nullptr) << r.attack;
+        attack = *campaign::find_attack(r.attack);
+      }
+      attack.policy.lie = lies[i];
+      EXPECT_EQ(streak_digest(attack.policy, attack.when), r.digest[i])
+          << r.attack << " lie " << i;
+    }
+}
+
+TEST(AttackSpec, UnknownAttackNameIsRejected) {
+  EXPECT_EQ(campaign::find_attack("wormhole"), nullptr);
+  EXPECT_THROW(
+      (void)campaign::make_named_strategy("wormhole", LiePolicy::kDenyAll),
+      std::invalid_argument);
+}
+
+TEST(AttackSpec, SelfVetoWithNoCompromisedSensorIsHarmless) {
+  // An empty malicious set is a legal Adversary; the self-veto must not
+  // pick a vetoer out of it.
+  Network net(Topology::grid(6, 6), testing::dense_keys());
+  Adversary adv(&net, {},
+                std::make_unique<campaign::PredicatedStrategy>(AttackPolicy{
+                    .conf = campaign::ConfAction::kSelfVeto}));
+  VmatCoordinator coordinator(&net, &adv, CoordinatorSpec{});
+  const auto readings = testing::default_readings(net.node_count());
+  const auto out = coordinator.run_min(readings);
+  ASSERT_EQ(out.kind, OutcomeKind::kResult);
+  EXPECT_EQ(out.minima[0], testing::true_min(net, readings));
 }
 
 /// The shared deployment every fuzzer test below searches: sparse rings so

@@ -61,9 +61,9 @@ TEST(Composite, WormholePlusDropPlusLies) {
   Network net(topo, dense_keys());
   auto strategy = std::make_unique<CompositeStrategy>(
       std::make_unique<WormholeStrategy>(50),
-      std::make_unique<ValueDropStrategy>(),
-      std::make_unique<ChokeVetoStrategy>(),
-      std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+      campaign::make_named_strategy("drop", LiePolicy::kDenyAll),
+      campaign::make_named_strategy("choke", LiePolicy::kDenyAll),
+      campaign::make_named_strategy("silent", LiePolicy::kAdmitAll));
   Adversary adv(&net, malicious, std::move(strategy));
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
@@ -109,9 +109,9 @@ TEST(Composite, CompositeSweepAcrossSeeds) {
     Network net(topo, dense_keys(0, seed));
     auto strategy = std::make_unique<CompositeStrategy>(
         std::make_unique<GarbageStrategy>(seed),
-        std::make_unique<SilentDropStrategy>(),
-        std::make_unique<SelfVetoStrategy>(1),
-        std::make_unique<SilentDropStrategy>(LiePolicy::kRandom));
+        campaign::make_named_strategy("silent", LiePolicy::kDenyAll),
+        campaign::make_named_strategy("selfveto", LiePolicy::kDenyAll),
+        campaign::make_named_strategy("silent", LiePolicy::kRandom));
     Adversary adv(&net, malicious, std::move(strategy));
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);

@@ -104,7 +104,8 @@ TEST(Confirmation, Lemma1HoldsUnderSilentMaliciousCut) {
     const auto topo = Topology::grid(5, 5);
     const auto malicious = choose_malicious(topo, 3, seed);
     Network net(topo, dense_keys());
-    Adversary adv(&net, malicious, std::make_unique<SilentDropStrategy>());
+    Adversary adv(&net, malicious,
+                  campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
     TreePhaseParams tp;
     tp.depth_bound = topo.depth(malicious);
     tp.session = seed;
@@ -137,7 +138,8 @@ TEST(Confirmation, SpuriousVetoChokesButSomethingStillArrives) {
   const auto topo = Topology::grid(5, 5);
   const auto malicious = choose_malicious(topo, 3, 4);
   Network net(topo, dense_keys());
-  Adversary adv(&net, malicious, std::make_unique<ChokeVetoStrategy>());
+  Adversary adv(&net, malicious,
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   TreePhaseParams tp;
   tp.depth_bound = topo.depth(malicious);
   tp.session = 9;

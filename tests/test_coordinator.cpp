@@ -63,7 +63,7 @@ TEST(Coordinator, NeverReturnsIncorrectResult) {
     const auto malicious = choose_malicious(topo, 3, seed);
     Network net(topo, dense_keys(0, seed));
     Adversary adv(&net, malicious,
-                  std::make_unique<ValueDropStrategy>(LiePolicy::kDenyAll));
+                  campaign::make_named_strategy("drop", LiePolicy::kDenyAll));
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     cfg.seed = seed;
@@ -88,29 +88,16 @@ TEST(Coordinator, RecoversFromEveryAttackFamily) {
     weights[id] = {0};
   }
 
-  using Factory = std::unique_ptr<AdversaryStrategy> (*)();
-  const std::pair<const char*, Factory> families[] = {
-      {"silent", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll);
-       }},
-      {"value-drop", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<ValueDropStrategy>(LiePolicy::kAdmitAll);
-       }},
-      {"junk", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll);
-       }},
-      {"choke", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<ChokeVetoStrategy>(LiePolicy::kRandom);
-       }},
-      {"self-veto", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<SelfVetoStrategy>(1, LiePolicy::kDenyAll);
-       }},
+  const std::pair<const char*, LiePolicy> families[] = {
+      {"silent", LiePolicy::kDenyAll}, {"drop", LiePolicy::kAdmitAll},
+      {"junk", LiePolicy::kDenyAll},   {"choke", LiePolicy::kRandom},
+      {"selfveto", LiePolicy::kDenyAll},
   };
 
-  for (const auto& [name, make] : families) {
+  for (const auto& [name, lie] : families) {
     const auto malicious = choose_malicious(topo, 2, 17);
     Network net(topo, dense_keys(0, 99));
-    Adversary adv(&net, malicious, make());
+    Adversary adv(&net, malicious, campaign::make_named_strategy(name, lie));
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     VmatCoordinator coordinator(&net, &adv, cfg);
@@ -141,7 +128,7 @@ TEST(Coordinator, MultipathToleratesSingleDropperWithoutPinpointing) {
   const auto topo = Topology::grid(5, 5);
   Network net(topo, dense_keys());
   Adversary adv(&net, {NodeId{7}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.multipath = true;
   cfg.depth_bound = topo.depth({NodeId{7}});

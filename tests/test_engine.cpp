@@ -178,7 +178,7 @@ TEST(Engine, RunQueryWithoutEpochThrows) {
 TEST(Engine, ChokingAdversaryTriggersBackoffThenAnswers) {
   Network net(Topology::grid(6, 6), dense_keys());
   Adversary adv(&net, {NodeId{14}, NodeId{21}},
-                std::make_unique<ChokeVetoStrategy>());
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.instances = 40;
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -214,7 +214,8 @@ TEST(Engine, ChokingAdversaryTriggersBackoffThenAnswers) {
 
 TEST(Engine, DeadlineExceededUnderPersistentDisruption) {
   Network net(Topology::grid(6, 6), dense_keys());
-  Adversary adv(&net, {NodeId{14}}, std::make_unique<ChokeVetoStrategy>());
+  Adversary adv(&net, {NodeId{14}},
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.instances = 10;
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -269,7 +270,7 @@ TEST(Engine, TakeReadyMidServeKeepsOpenQueryPayloadsIntact) {
   // exactly the daemon's poll-between-rounds pattern under disruption.
   Network net(Topology::grid(6, 6), dense_keys());
   Adversary adv(&net, {NodeId{14}, NodeId{21}},
-                std::make_unique<ChokeVetoStrategy>());
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.instances = 40;
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -300,7 +301,8 @@ TEST(Engine, TakeReadyMidServeKeepsOpenQueryPayloadsIntact) {
 
 TEST(Engine, StepSettlesEverythingOnceRoundBudgetExhausts) {
   Network net(Topology::grid(6, 6), dense_keys());
-  Adversary adv(&net, {NodeId{14}}, std::make_unique<ChokeVetoStrategy>());
+  Adversary adv(&net, {NodeId{14}},
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.instances = 10;
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -330,7 +332,8 @@ TEST(Engine, DeadlineOnDisruptedRoundSettlesExactlyOnce) {
   // invalidates the epoch. The query must settle kDeadlineExceeded exactly
   // once — not get retried on the re-formed epoch, not settle twice.
   Network net(Topology::grid(6, 6), dense_keys());
-  Adversary adv(&net, {NodeId{14}}, std::make_unique<ChokeVetoStrategy>());
+  Adversary adv(&net, {NodeId{14}},
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.instances = 10;
   VmatCoordinator coordinator(&net, &adv, cfg);

@@ -84,7 +84,7 @@ TEST(Loss, AdversaryUnderLossStillSoundlyRevoked) {
   const auto malicious = choose_malicious(topo, 2, 3);
   Network net(topo, lossy_keys(0.05, 4));
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);

@@ -62,8 +62,8 @@ TEST(Monitor, EpochNumbersAndHistoryAccumulate) {
 TEST(Monitor, AdversaryGetsGroundDownAcrossEpochs) {
   const auto topo = Topology::grid(5, 5);
   const auto malicious = choose_malicious(topo, 2, 9);
-  MonitorFixture fx(malicious, std::make_unique<SilentDropStrategy>(
-                                   LiePolicy::kDenyAll));
+  MonitorFixture fx(malicious,
+      campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   std::vector<std::uint8_t> predicate(25, 1);
   predicate[0] = 0;
 

@@ -151,7 +151,7 @@ TEST(ParallelTsan, LevelParallelAdversarialRunStaysSoundAndIdentical) {
     Network net(topo, testing::dense_keys());
     const auto malicious = choose_malicious(topo, 2, 13);
     Adversary adv(&net, malicious,
-                  std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                  campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     VmatCoordinator coordinator(&net, &adv, cfg);

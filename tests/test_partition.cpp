@@ -43,7 +43,7 @@ TEST(Partition, TreeParticipatingCutVertexIsCaughtInstead) {
     // No detour: component answer.
     Network net(Topology::line(6), dense_keys());
     Adversary adv(&net, {NodeId{2}},
-                  std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                  campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
     CoordinatorSpec cfg;
     cfg.depth_bound = 5;
     VmatCoordinator coordinator(&net, &adv, cfg);
@@ -62,7 +62,7 @@ TEST(Partition, TreeParticipatingCutVertexIsCaughtInstead) {
     topo.add_edge(NodeId{6}, NodeId{4});  // detour around node 2
     Network net(topo, dense_keys());
     Adversary adv(&net, {NodeId{2}},
-                  std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                  campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth({NodeId{2}});
     VmatCoordinator coordinator(&net, &adv, cfg);

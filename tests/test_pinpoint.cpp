@@ -61,7 +61,7 @@ std::vector<Reading> forced_drop_readings() {
 
 TEST(Pinpoint, SilentDropIsRevokedViaVetoWalk) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+             campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kVeto);
@@ -71,7 +71,7 @@ TEST(Pinpoint, SilentDropIsRevokedViaVetoWalk) {
 
 TEST(Pinpoint, AdmitAllDraggingStillEndsInSoundRevocation) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+             campaign::make_named_strategy("silent", LiePolicy::kAdmitAll));
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_TRUE(!out.revoked_keys.empty() || !out.revoked_sensors.empty())
@@ -82,7 +82,7 @@ TEST(Pinpoint, AdmitAllDraggingStillEndsInSoundRevocation) {
 TEST(Pinpoint, RandomAnswersStillEndInSoundRevocation) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Scenario s(forced_drop_topology(), {NodeId{2}},
-               std::make_unique<SilentDropStrategy>(LiePolicy::kRandom),
+               campaign::make_named_strategy("silent", LiePolicy::kRandom),
                1000 + seed);
     const auto out = s.coordinator->run_min(forced_drop_readings());
     ASSERT_EQ(out.kind, OutcomeKind::kRevocation) << "seed " << seed;
@@ -93,7 +93,7 @@ TEST(Pinpoint, RandomAnswersStillEndInSoundRevocation) {
 
 TEST(Pinpoint, ValueDropPinpointedToo) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<ValueDropStrategy>(LiePolicy::kDenyAll));
+             campaign::make_named_strategy("drop", LiePolicy::kDenyAll));
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kVeto);
@@ -104,7 +104,7 @@ TEST(Pinpoint, JunkInjectionTriggersJunkWalk) {
   const auto topo = Topology::grid(4, 4);
   const auto malicious = choose_malicious(topo, 2, 7);
   Scenario s(topo, malicious,
-             std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll));
+             campaign::make_named_strategy("junk", LiePolicy::kDenyAll));
   const auto out = s.coordinator->run_min(default_readings(16));
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kJunkAggregation);
@@ -115,8 +115,7 @@ TEST(Pinpoint, JunkInjectionWithFramingDoesNotHurtTheFramed) {
   const auto topo = Topology::grid(4, 4);
   const auto malicious = choose_malicious(topo, 2, 8);
   Scenario s(topo, malicious,
-             std::make_unique<JunkInjectStrategy>(LiePolicy::kAdmitAll,
-                                                  /*frame=*/true));
+             campaign::make_named_strategy("junk", LiePolicy::kAdmitAll));
   const auto out = s.coordinator->run_min(default_readings(16));
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_TRUE(revocations_sound(s.net, s.malicious_set)) << out.reason;
@@ -124,7 +123,7 @@ TEST(Pinpoint, JunkInjectionWithFramingDoesNotHurtTheFramed) {
 
 TEST(Pinpoint, ChokingAttackTriggersJunkConfirmationWalk) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
+             campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kJunkConfirmation);
@@ -135,8 +134,7 @@ TEST(Pinpoint, ValidSelfVetoFromMaliciousSensorIsWalkedSoundly) {
   const auto topo = Topology::grid(4, 4);
   const auto malicious = choose_malicious(topo, 1, 9);
   Scenario s(topo, malicious,
-             std::make_unique<SelfVetoStrategy>(/*hidden=*/1,
-                                                LiePolicy::kDenyAll));
+             campaign::make_named_strategy("selfveto", LiePolicy::kDenyAll));
   const auto out = s.coordinator->run_min(default_readings(16));
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kVeto);
@@ -147,7 +145,7 @@ TEST(Pinpoint, HonestSensorsNeverRevokedAcrossManyRuns) {
   // Repeat executions against the dropper until it is fully neutralized;
   // no honest key material may ever be revoked.
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+             campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   const auto readings = forced_drop_readings();
   std::vector<std::vector<Reading>> values(9);
   std::vector<std::vector<std::int64_t>> weights(9);
@@ -168,7 +166,7 @@ TEST(Pinpoint, HonestSensorsNeverRevokedAcrossManyRuns) {
 
 TEST(Pinpoint, ResultAfterRecoveryIsCorrect) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+             campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   const auto readings = forced_drop_readings();
   std::vector<std::vector<Reading>> values(9);
   std::vector<std::vector<std::int64_t>> weights(9);
@@ -188,7 +186,7 @@ TEST(Pinpoint, MessageLevelPredicateModeGivesSameOutcome) {
   // flood instead of the reachability collapse: identical revocations.
   auto run_with = [&](PredicateTestMode mode) {
     Scenario s(forced_drop_topology(), {NodeId{2}},
-               std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+               campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
     CoordinatorSpec cfg = s.cfg;
     cfg.predicate_mode = mode;
     VmatCoordinator coordinator(&s.net, &s.adv, cfg);
@@ -205,7 +203,7 @@ TEST(Pinpoint, MessageLevelPredicateModeGivesSameOutcome) {
 
 TEST(Pinpoint, CostStaysWithinTheoremSixBounds) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+             campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   // O(L log n) predicate tests: L+1 walk steps, each O(log r + log n)

@@ -243,7 +243,7 @@ TEST(PredicateEngine, PoolKeyTestReachesAllHolders) {
 TEST(PredicateEngine, ByzantineHolderCanFakeYes) {
   EngineFixture fx;
   Adversary adv(&fx.net, {NodeId{2}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+                campaign::make_named_strategy("silent", LiePolicy::kAdmitAll));
   CostMeter meter;
   PredicateTestEngine engine(&fx.net, &adv, &fx.audits, &meter);
   // Node 2 has no matching record (probe at absurd level), but admits.
@@ -254,7 +254,7 @@ TEST(PredicateEngine, ByzantineHolderCanFakeYes) {
 TEST(PredicateEngine, ByzantineHolderCanStonewall) {
   EngineFixture fx;
   Adversary adv(&fx.net, {NodeId{2}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   CostMeter meter;
   PredicateTestEngine engine(&fx.net, &adv, &fx.audits, &meter);
   // Node 2 does satisfy (it forwarded value 1 at level 2) but stays silent.
@@ -265,7 +265,7 @@ TEST(PredicateEngine, ByzantineHolderCanStonewall) {
 TEST(PredicateEngine, ByzantineCannotFakeForKeysItLacks) {
   EngineFixture fx;
   Adversary adv(&fx.net, {NodeId{2}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+                campaign::make_named_strategy("silent", LiePolicy::kAdmitAll));
   CostMeter meter;
   PredicateTestEngine engine(&fx.net, &adv, &fx.audits, &meter);
   // Sensor key of honest node 4, probe it does not satisfy: node 2 cannot
@@ -294,7 +294,7 @@ TEST(PredicateEngine, MessageLevelModeAgreesWithReachability) {
     std::optional<Adversary> adv;
     if (!c.malicious.empty())
       adv.emplace(&fx.net, c.malicious,
-                  std::make_unique<SilentDropStrategy>(c.policy));
+                  campaign::make_named_strategy("silent", c.policy));
     Adversary* adv_ptr = adv.has_value() ? &*adv : nullptr;
     for (Level level : {1, 2, 3, 4, 5, 99}) {
       for (Reading v_max : {Reading{1}, Reading{101}, Reading{1000}}) {
@@ -340,7 +340,7 @@ TEST(PredicateEngine, ReplyBlockedByByzantineCutFails) {
   // reach the base station (Byzantine nodes do not relay).
   EngineFixture fx;
   Adversary adv(&fx.net, {NodeId{1}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   CostMeter meter;
   PredicateTestEngine engine(&fx.net, &adv, &fx.audits, &meter);
   EXPECT_FALSE(engine.run(KeySpec::sensor_key(NodeId{4}),
@@ -348,7 +348,7 @@ TEST(PredicateEngine, ReplyBlockedByByzantineCutFails) {
   // But an injector adjacent to the reachable component succeeds: node 1
   // itself answering yes reaches the BS.
   Adversary adv2(&fx.net, {NodeId{1}},
-                 std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+                 campaign::make_named_strategy("silent", LiePolicy::kAdmitAll));
   PredicateTestEngine engine2(&fx.net, &adv2, &fx.audits, &meter);
   EXPECT_TRUE(engine2.run(KeySpec::sensor_key(NodeId{1}),
                           fx.forwarded_probe(99, 1)));

@@ -5,7 +5,7 @@
 //
 // Every sweep runs with the flight recorder attached and validates the
 // recorded stream with the trace-invariant checker, so the Lemma 1 /
-// Theorem 7 trace properties are exercised across the whole strategy zoo.
+// Theorem 7 trace properties are exercised across every attack family.
 // Set VMAT_TRACE_DIR to export each recording as JSON (CI feeds these to
 // tools/check_trace.py).
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "core/coordinator.h"
@@ -36,35 +37,28 @@ enum class Family {
   kRandomByzantine,
 };
 
+/// Per family: the test-name label and the named attack
+/// (campaign::named_attacks) it runs; RandomByzantine has none.
+struct FamilyInfo {
+  const char* name;
+  std::string_view attack;
+};
+
+constexpr FamilyInfo kFamilies[] = {
+    {"Silent", "silent"}, {"ValueDrop", "drop"},    {"Junk", "junk"},
+    {"Choke", "choke"},   {"SelfVeto", "selfveto"}, {"RandomByzantine", ""},
+};
+
 std::string family_name(Family f) {
-  switch (f) {
-    case Family::kSilent: return "Silent";
-    case Family::kValueDrop: return "ValueDrop";
-    case Family::kJunk: return "Junk";
-    case Family::kChoke: return "Choke";
-    case Family::kSelfVeto: return "SelfVeto";
-    case Family::kRandomByzantine: return "RandomByzantine";
-  }
-  return "?";
+  return kFamilies[static_cast<std::size_t>(f)].name;
 }
 
 std::unique_ptr<AdversaryStrategy> make_strategy(Family f, LiePolicy policy,
                                                  std::uint64_t seed) {
-  switch (f) {
-    case Family::kSilent:
-      return std::make_unique<SilentDropStrategy>(policy);
-    case Family::kValueDrop:
-      return std::make_unique<ValueDropStrategy>(policy);
-    case Family::kJunk:
-      return std::make_unique<JunkInjectStrategy>(policy);
-    case Family::kChoke:
-      return std::make_unique<ChokeVetoStrategy>(policy);
-    case Family::kSelfVeto:
-      return std::make_unique<SelfVetoStrategy>(1, policy);
-    case Family::kRandomByzantine:
-      return std::make_unique<RandomByzantineStrategy>(seed);
-  }
-  return nullptr;
+  if (f == Family::kRandomByzantine)
+    return std::make_unique<RandomByzantineStrategy>(seed);
+  return campaign::make_named_strategy(
+      kFamilies[static_cast<std::size_t>(f)].attack, policy);
 }
 
 /// Validate a sweep's recording against the trace invariants and, when
@@ -177,7 +171,7 @@ TEST_P(Theorem7Multipath, MultipathKeepsGuarantees) {
   const auto malicious = choose_malicious(topo, 3, seed);
   Network net(topo, dense_keys(0, seed));
   Adversary adv(&net, malicious,
-                std::make_unique<ValueDropStrategy>(LiePolicy::kRandom));
+                campaign::make_named_strategy("drop", LiePolicy::kRandom));
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   cfg.multipath = true;
@@ -212,7 +206,7 @@ TEST_P(UnslottedSweep, UnslottedSofStillSoundlyRevokes) {
   const auto malicious = choose_malicious(topo, 2, seed);
   Network net(topo, dense_keys(0, seed));
   Adversary adv(&net, malicious,
-                std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   cfg.slotted_sof = false;

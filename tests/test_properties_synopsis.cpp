@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 #include <tuple>
 
 #include "core/query.h"
@@ -18,32 +19,33 @@ using testing::revocations_sound;
 
 enum class Family { kSilent, kValueDrop, kJunk, kChoke, kRandom };
 
+/// Per family: the test-name label, and the named attack
+/// (campaign::named_attacks) it runs with predicate-test answers `lie`;
+/// Random (RandomByzantine) has none.
+struct FamilyInfo {
+  const char* name;
+  std::string_view attack;
+  LiePolicy lie;
+};
+
+constexpr FamilyInfo kFamilies[] = {
+    {"Silent", "silent", LiePolicy::kDenyAll},
+    {"ValueDrop", "drop", LiePolicy::kAdmitAll},
+    {"Junk", "junk", LiePolicy::kRandom},
+    {"Choke", "choke", LiePolicy::kDenyAll},
+    {"Random", "", LiePolicy::kDenyAll},
+};
+
 const char* family_name(Family f) {
-  switch (f) {
-    case Family::kSilent: return "Silent";
-    case Family::kValueDrop: return "ValueDrop";
-    case Family::kJunk: return "Junk";
-    case Family::kChoke: return "Choke";
-    case Family::kRandom: return "Random";
-  }
-  return "?";
+  return kFamilies[static_cast<std::size_t>(f)].name;
 }
 
 std::unique_ptr<AdversaryStrategy> make_strategy(Family f,
                                                  std::uint64_t seed) {
-  switch (f) {
-    case Family::kSilent:
-      return std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll);
-    case Family::kValueDrop:
-      return std::make_unique<ValueDropStrategy>(LiePolicy::kAdmitAll);
-    case Family::kJunk:
-      return std::make_unique<JunkInjectStrategy>(LiePolicy::kRandom);
-    case Family::kChoke:
-      return std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll);
-    case Family::kRandom:
-      return std::make_unique<RandomByzantineStrategy>(seed);
-  }
-  return nullptr;
+  if (f == Family::kRandom)
+    return std::make_unique<RandomByzantineStrategy>(seed);
+  const FamilyInfo& info = kFamilies[static_cast<std::size_t>(f)];
+  return campaign::make_named_strategy(info.attack, info.lie);
 }
 
 using Params = std::tuple<Family, std::uint64_t>;

@@ -122,7 +122,7 @@ TEST(Query, CountUntilAnsweredDefeatsDropper) {
   const auto malicious = choose_malicious(topo, 2, 5);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.instances = 40;
   cfg.depth_bound = topo.depth(malicious);
@@ -166,7 +166,7 @@ TEST(Query, MaxUnderDropAttackIsNeverInflatedOrSilentlyLowered) {
   const auto malicious = choose_malicious(topo, 2, 4);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.instances = 1;
   cfg.depth_bound = topo.depth(malicious);

@@ -56,7 +56,7 @@ TEST(Rekey, ProtocolRunsCleanAfterEpoch) {
   NetworkSpec cfg = dense_keys(0, 4);
   Network net(topo, cfg);
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   CoordinatorSpec vcfg;
   vcfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, vcfg);

@@ -37,7 +37,7 @@ TEST(Report, RevocationSummaryCarriesReason) {
   const auto malicious = choose_malicious(topo, 2, 7);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("junk", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);

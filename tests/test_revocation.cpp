@@ -152,8 +152,11 @@ ThetaCampaignResult run_theta_campaign(std::uint32_t theta,
 
   const std::unordered_set<NodeId> malicious{attacker};
   Adversary adv(&net, malicious,
-                std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll,
-                                                     /*frame=*/false));
+                std::make_unique<campaign::PredicatedStrategy>(
+                    campaign::AttackPolicy{
+                        .agg = campaign::AggAction::kInjectJunk,
+                        .frame_honest_origin = false},
+                    campaign::first_slot()));
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious) + 2;  // slack for sparse keying
   cfg.seed = seed;

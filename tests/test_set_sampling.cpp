@@ -64,7 +64,7 @@ TEST(SetSampling, SilentByzantineMembersCannotSuppress) {
   const auto malicious = choose_malicious(topo, 4, 5);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   SetSamplingProtocol protocol(&net, &adv, {.tests_per_level = 48,
                                             .key_seed = 3});
   std::vector<std::uint8_t> predicate(64, 1);
@@ -85,7 +85,7 @@ TEST(SetSampling, AdmitAllByzantineOnlyAddsSelfReports) {
   const auto malicious = choose_malicious(topo, 4, 6);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+                campaign::make_named_strategy("silent", LiePolicy::kAdmitAll));
   SetSamplingProtocol protocol(&net, &adv, {.tests_per_level = 48,
                                             .key_seed = 3});
   std::vector<std::uint8_t> predicate(64, 0);
@@ -103,7 +103,7 @@ TEST(SetSampling, NeverNeedsPinpointing) {
   const auto malicious = choose_malicious(topo, 6, 7);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<ChokeVetoStrategy>(LiePolicy::kRandom));
+                campaign::make_named_strategy("choke", LiePolicy::kRandom));
   SetSamplingProtocol protocol(&net, &adv, {});
   std::vector<std::uint8_t> predicate(64, 1);
   predicate[0] = 0;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -147,29 +148,24 @@ TEST(Snapshot, DivergentStrategiesMatchScratch) {
   const std::unordered_set<NodeId> malicious{NodeId{7}, NodeId{12}};
   const auto readings = default_readings(25);
 
-  auto make_strategy = [](int which) -> std::unique_ptr<AdversaryStrategy> {
-    switch (which) {
-      case 0: return std::make_unique<SilentDropStrategy>();
-      case 1: return std::make_unique<ValueDropStrategy>();
-      case 2: return std::make_unique<ChokeVetoStrategy>();
-      default: return std::make_unique<SelfVetoStrategy>(Reading{1});
-    }
+  auto make_strategy = [](std::string_view attack) {
+    return campaign::make_named_strategy(attack, LiePolicy::kDenyAll);
   };
 
-  // One snapshot, formed under the factory strategy; every PolicyStrategy
+  // One snapshot, formed under the factory strategy; every named attack
   // shares the honest tree-slot behavior, so the prefix is strategy-blind.
   Network fork_net(topo, dense_keys());
-  Adversary factory_adv(&fork_net, malicious, make_strategy(0));
+  Adversary factory_adv(&fork_net, malicious, make_strategy("silent"));
   VmatCoordinator forker(&fork_net, &factory_adv, CoordinatorSpec{});
   const Snapshot snapshot = forker.snapshot_after_formation();
 
-  for (int which = 0; which < 4; ++which) {
+  for (const campaign::NamedAttack& attack : campaign::named_attacks()) {
     Network scratch_net(topo, dense_keys());
-    Adversary scratch_adv(&scratch_net, malicious, make_strategy(which));
+    Adversary scratch_adv(&scratch_net, malicious, make_strategy(attack.name));
     VmatCoordinator scratch(&scratch_net, &scratch_adv, CoordinatorSpec{});
     const auto want = scratch.run_min(readings);
 
-    Adversary fork_adv(&fork_net, malicious, make_strategy(which));
+    Adversary fork_adv(&fork_net, malicious, make_strategy(attack.name));
     forker.set_adversary(&fork_adv);
     const auto got = forker.resume_min(snapshot, readings);
 

@@ -134,7 +134,7 @@ ExecutionOutcome run_attacked(FlightRecorder* recorder) {
   const auto malicious = choose_malicious(topo, 3, 14);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
+                campaign::make_named_strategy("choke", LiePolicy::kDenyAll));
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);

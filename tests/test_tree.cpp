@@ -98,7 +98,8 @@ TEST(TreeFormation, SilentMaliciousCutDelaysButBoundsLevels) {
   const auto malicious = choose_malicious(topo, 4, 99);
   Network net(topo, dense_keys());
   const Level L = topo.depth(malicious);  // depth excluding malicious
-  Adversary adv(&net, malicious, std::make_unique<SilentDropStrategy>());
+  Adversary adv(&net, malicious,
+                campaign::make_named_strategy("silent", LiePolicy::kDenyAll));
   const auto tree = form(net, &adv, TreeMode::kTimestamp, L);
   const auto honest_depth = topo.bfs_depth(malicious);
   for (std::uint32_t id = 1; id < net.node_count(); ++id) {
