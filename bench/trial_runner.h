@@ -4,7 +4,10 @@
 // needs: smoke-mode gating (VMAT_BENCH_SMOKE=1 shrinks trial counts so
 // ctest can execute every bench), per-trial wall-clock capture, and a
 // machine-readable BENCH_<name>.json report written next to the human
-// tables (config, per-trial timings, aggregate stats).
+// tables (config, per-trial timings, aggregate stats). Fork benches share
+// one post-formation snapshot across trials through forked_timed_trials();
+// the matching scratch group (timed_trials) is the reference they are
+// checked against.
 //
 // Determinism: trial work runs through vmat::parallel_for_trials, so the
 // statistical results are bit-identical for any VMAT_THREADS. Only the
@@ -145,12 +148,8 @@ using ForkTrialFn = std::function<void(
 
 /// Fork-fan-out twin of timed_trials(): capture the post-formation prefix
 /// ONCE from a factory-built deployment, then run `n` timed trials that
-/// each resume from that shared snapshot on a recycled deployment. With
-/// VMAT_SNAPSHOT=0 the sharing is disabled — every trial builds a private
-/// deployment and resumes from its own freshly captured snapshot, which is
-/// bit-identical to the shared one (same factory, same seed), so results
-/// never depend on the escape hatch. Timings cover fn only (construction
-/// and capture are untimed in both modes).
+/// each resume from that shared snapshot on a recycled deployment. Timings
+/// cover fn only (construction and capture are untimed).
 void forked_timed_trials(TrialGroup& group, std::size_t n,
                          std::uint64_t base_seed, const ForkFactory& factory,
                          const ForkTrialFn& fn, ThreadPool* pool = nullptr);

@@ -99,7 +99,7 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
       choose_malicious(topology, config_.compromised, config_.placement_seed);
   if (spec_.depth_bound() == 0) spec_.depth_bound(topology.depth(malicious_));
 
-  fork_ = config_.fork_probes && snapshots_enabled();
+  fork_ = config_.fork_probes;
   if (fork_) {
     net_ = std::make_unique<Network>(spec_);
     formation_adversary_ = std::make_unique<Adversary>(
@@ -307,18 +307,14 @@ void CampaignRunner::deepen_ruin(const CampaignEntry& entry,
                       std::make_unique<PredicatedStrategy>(
                           entry.policy, entry.when, entry.seed));
   VmatCoordinator coordinator(&net, &adversary, spec_);
-  const std::vector<Reading> readings = probe_readings(entry.seed);
-  std::vector<std::vector<Reading>> values(spec_.nodes());
-  std::vector<std::vector<std::int64_t>> weights(spec_.nodes());
-  for (std::uint32_t id = 0; id < spec_.nodes(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
+  ValueTable values(spec_.nodes(), 1, 0);
+  values.data = probe_readings(entry.seed);
+  const ValueTable weights(spec_.nodes(), 1, 0);
   constexpr int kStreakCap = 50;
   int ruined = 0;
   int executions = 0;
   while (executions < kStreakCap) {
-    if (!coordinator.epoch_ready()) (void)coordinator.prepare_epoch();
+    (void)coordinator.prepare_epoch();
     const ExecutionOutcome outcome = coordinator.run_query(values, weights);
     ++executions;
     if (outcome.produced_result()) break;

@@ -54,10 +54,10 @@ struct CampaignConfig {
   /// Fuzzer seed: drives genome generation and mutation.
   std::uint64_t seed{1};
   /// Fork probes from one shared post-formation snapshot (default). When
-  /// false — or when snapshots are disabled via VMAT_SNAPSHOT=0 — every
-  /// probe builds a private deployment and executes from scratch;
-  /// bit-identical results either way (the snapshot contract), only the
-  /// formation count and wall clock differ.
+  /// false, every probe builds a private deployment and executes from
+  /// scratch — the reference forks are tested against; bit-identical
+  /// results either way (the snapshot contract), only the formation count
+  /// and wall clock differ.
   bool fork_probes{true};
   /// Optional seed corpus to mutate from.
   Corpus seeds{};

@@ -22,7 +22,6 @@ constexpr std::uint32_t kAuditSection = 0x41554432;  // "AUD2" (pooled audit)
 constexpr std::uint32_t kTraceSection = 0x54524143;  // "TRAC"
 
 // The snapshot encodes these wholesale as flat pods.
-static_assert(std::is_trivially_copyable_v<Epoch>);
 static_assert(std::is_trivially_copyable_v<ParentLink>);
 static_assert(std::is_trivially_copyable_v<ReceivedRecord>);
 static_assert(std::is_trivially_copyable_v<ForwardRecord>);
@@ -31,8 +30,8 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
 /// Buffers the event stream of a capture prefix while forwarding it to the
 /// user's sink (if any) — so snapshot_after_formation()/prepare_epoch()
-/// record the same events a plain execute()/prepare_epoch() would, and the
-/// buffered copy replays into forks' sinks on restore.
+/// record the same events a plain execute() would, and the buffered copy
+/// replays into a fork's (or a restored epoch's) sink on restore.
 struct TeeSink final : TraceSink {
   TraceSink* downstream{nullptr};
   std::vector<TraceEvent>* buffer{nullptr};
@@ -44,6 +43,38 @@ struct TeeSink final : TraceSink {
   void on_execution_end(const ExecutionMetrics& metrics) override {
     if (downstream != nullptr) downstream->on_execution_end(metrics);
   }
+};
+
+/// Attaches the coordinator's tracer to the network for one verb and undoes
+/// it on every exit path, so no component keeps a handle into a dead
+/// coordinator. Given a `prefix` buffer it also tees the event stream into
+/// it for the lifetime of the scope.
+class TraceScope {
+ public:
+  TraceScope(Network& net, TraceState& state,
+             std::vector<TraceEvent>* prefix = nullptr)
+      : net_(net), state_(state), user_sink_(state.sink) {
+    if (prefix != nullptr) {
+      tee_.downstream = user_sink_;
+      tee_.buffer = prefix;
+      state_.sink = &tee_;
+    }
+    net_.set_tracer(tracer());
+  }
+  ~TraceScope() {
+    net_.set_tracer({});
+    state_.sink = user_sink_;
+  }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+  [[nodiscard]] Tracer tracer() const noexcept { return Tracer{&state_}; }
+
+ private:
+  Network& net_;
+  TraceState& state_;
+  TraceSink* user_sink_;
+  TeeSink tee_;
 };
 
 CoordinatorSpec validated_coordinator_spec(const SimulationSpec& spec) {
@@ -118,8 +149,8 @@ void VmatCoordinator::authenticated_broadcast(const Bytes& payload,
   rounds += 1;
 }
 
-void VmatCoordinator::form_tree(std::uint64_t session, int& rounds,
-                                Tracer tracer) {
+std::uint64_t VmatCoordinator::form_tree(int& rounds, Tracer tracer) {
+  const std::uint64_t session = fresh_nonce();
   {
     ByteWriter announce;
     announce.str("vmat.announce.tree");
@@ -135,56 +166,122 @@ void VmatCoordinator::form_tree(std::uint64_t session, int& rounds,
   tree_ = run_tree_formation(*net_, adversary_, tree_params, tracer);
   rounds += 1;
   formations_ += 1;
+  return session;
+}
+
+void VmatCoordinator::check_inputs(const char* verb, const ValueTable& values,
+                                   const ValueTable& weights,
+                                   std::uint32_t width) const {
+  const std::uint32_t n = net_->node_count();
+  if (values.node_count != n || weights.node_count != n)
+    throw std::invalid_argument(std::string(verb) +
+                                ": values/weights must cover all nodes");
+  if (width == 0 || values.instances != width || weights.instances != width)
+    throw std::invalid_argument(std::string(verb) +
+                                ": instance-count mismatch");
+}
+
+ValueTable VmatCoordinator::min_values(
+    const char* verb, const std::vector<Reading>& readings) const {
+  if (config_.instances != 1)
+    throw std::logic_error(std::string(verb) + " requires instances == 1");
+  ValueTable values(static_cast<std::uint32_t>(readings.size()), 1, 0);
+  for (std::uint32_t id = 0; id < values.node_count; ++id) {
+    Reading r = readings[id];
+    if (adversary_ != nullptr && adversary_->is_byzantine(NodeId{id}))
+      r = adversary_->strategy().own_reading(NodeId{id}, r);
+    values.data[id] = r;
+  }
+  return values;
+}
+
+ExecutionOutcome VmatCoordinator::execute(const ValueTable& values,
+                                          const ValueTable& weights,
+                                          const ContentValidator& validate) {
+  check_inputs("execute", values, weights, config_.instances);
+  const TraceScope scope(*net_, trace_state_);
+  Tracer tracer = scope.tracer();
+  tracer.begin_execution();
+
+  // A one-shot execution forms its own tree, which orphans any epoch tree
+  // a serving layer may have prepared.
+  epoch_stale_ = true;
+
+  int rounds = 0;
+  (void)form_tree(rounds, tracer);
+  return run_query_phases(values, weights, validate, tracer, rounds);
 }
 
 ExecutionOutcome VmatCoordinator::run_min(
     const std::vector<Reading>& readings) {
-  if (config_.instances != 1)
-    throw std::logic_error("run_min requires instances == 1");
-  ValueTable values(static_cast<std::uint32_t>(readings.size()), 1, 0);
-  const ValueTable weights(static_cast<std::uint32_t>(readings.size()), 1, 0);
-  for (std::size_t i = 0; i < readings.size(); ++i) {
-    Reading r = readings[i];
-    if (adversary_ != nullptr && adversary_->is_byzantine(NodeId{
-            static_cast<std::uint32_t>(i)}))
-      r = adversary_->strategy().own_reading(
-          NodeId{static_cast<std::uint32_t>(i)}, r);
-    values.data[i] = r;
+  const ValueTable values = min_values("run_min", readings);
+  return execute(values, ValueTable(values.node_count, 1, 0));
+}
+
+std::vector<ExecutionOutcome> VmatCoordinator::run_until_result(
+    const ValueTable& values, const ValueTable& weights,
+    const ContentValidator& validate, int max_executions) {
+  std::vector<ExecutionOutcome> history;
+  for (int i = 0; i < max_executions; ++i) {
+    history.push_back(execute(values, weights, validate));
+    if (history.back().produced_result()) return history;
   }
-  return execute(values, weights);
+  throw std::runtime_error(
+      "run_until_result: no result after max_executions — an execution "
+      "failed to revoke adversary material (Theorem 7 violation)");
+}
+
+bool VmatCoordinator::epoch_tree_current() const noexcept {
+  return net_->revocation().revoked_key_count() == epoch_.revoked_keys &&
+         net_->revocation().revoked_sensors_in_order().size() ==
+             epoch_.revoked_sensors &&
+         net_->key_generation() == epoch_.key_generation;
+}
+
+bool VmatCoordinator::epoch_ready() const noexcept {
+  return !epoch_stale_ && epoch_.id != 0 && epoch_tree_current();
 }
 
 const Epoch& VmatCoordinator::prepare_epoch() {
-  // With snapshots enabled, tee the epoch slice's event stream so the
-  // kEpoch snapshot captured below can replay it on rearm_epoch().
-  std::vector<TraceEvent> prefix;
-  TeeSink tee;
-  tee.downstream = trace_state_.sink;
-  tee.buffer = &prefix;
-  TraceSink* const user_sink = trace_state_.sink;
-  const bool capture = snapshots_enabled();
-  if (capture) trace_state_.sink = &tee;
+  if (epoch_ready()) return epoch_;
 
-  Tracer tracer{&trace_state_};
+  if (epoch_snapshot_.has_value() && epoch_tree_current()) {
+    // Stale, but nothing revocation/key-shaped moved since the formation:
+    // restore its tree. Monotone counters survive the rewind — the nonce
+    // stream, the broadcast chain cursor and the trace ordinals keep
+    // advancing — so a restored epoch never reuses a nonce or a chain
+    // element.
+    const std::uint64_t cur_nonce = nonce_state_;
+    const std::uint64_t cur_next = broadcaster_.next_epoch();
+    const std::int64_t cur_execs = trace_state_.executions;
+    const std::int64_t cur_epochs = trace_state_.epochs;
+
+    restore_snapshot(*epoch_snapshot_, cur_epochs);
+
+    nonce_state_ = cur_nonce;
+    broadcaster_.restore_next_epoch(cur_next);
+    trace_state_.executions = cur_execs;
+    trace_state_.epochs = cur_epochs + 1;
+    epoch_.id += 1;
+    epoch_.restored = true;
+    epoch_stale_ = false;
+    return epoch_;
+  }
+
+  // Tee the epoch slice's event stream so the snapshot captured below can
+  // replay it when the epoch is restored.
+  std::vector<TraceEvent> prefix;
+  const TraceScope scope(*net_, trace_state_, &prefix);
+  Tracer tracer = scope.tracer();
   tracer.begin_epoch();
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    TraceState* ts;
-    TraceSink* user;
-    ~TracerDetach() {
-      net->set_tracer({});
-      ts->sink = user;
-    }
-  } detach{net_, &trace_state_, user_sink};
 
   int rounds = 0;
-  const std::uint64_t session = fresh_nonce();
-  form_tree(session, rounds, tracer);
+  const std::uint64_t session = form_tree(rounds, tracer);
   tracer.end_epoch();
 
   epoch_.id += 1;
   epoch_.session = session;
+  epoch_.restored = false;
   epoch_.formation_rounds = rounds;
   epoch_.metrics = trace_state_.metrics;
   epoch_.fabric_bytes = epoch_.metrics.totals().bytes_sent;
@@ -192,87 +289,32 @@ const Epoch& VmatCoordinator::prepare_epoch() {
   epoch_.revoked_sensors = net_->revocation().revoked_sensors_in_order().size();
   epoch_.key_generation = net_->key_generation();
   epoch_stale_ = false;
-  if (capture) {
-    epoch_snapshot_ = capture_snapshot(SnapshotKind::kEpoch, rounds, prefix);
-    epoch_snapshot_meta_ = epoch_;
-  }
+  epoch_snapshot_ = capture_snapshot(rounds, prefix);
   return epoch_;
 }
 
-bool VmatCoordinator::epoch_ready() const noexcept {
-  return !epoch_stale_ && epoch_.id != 0 &&
-         net_->revocation().revoked_key_count() == epoch_.revoked_keys &&
-         net_->revocation().revoked_sensors_in_order().size() ==
-             epoch_.revoked_sensors &&
-         net_->key_generation() == epoch_.key_generation;
-}
-
-ExecutionOutcome VmatCoordinator::run_query(
-    const std::vector<std::vector<Reading>>& values,
-    const std::vector<std::vector<std::int64_t>>& weights,
-    const ContentValidator& validate, std::uint32_t instances) {
+ExecutionOutcome VmatCoordinator::run_query(const ValueTable& values,
+                                            const ValueTable& weights,
+                                            const ContentValidator& validate) {
   if (!epoch_ready())
     throw std::logic_error(
         "run_query: no ready epoch — call prepare_epoch() first (a "
         "revocation or rekey invalidates the current epoch)");
-  Tracer tracer{&trace_state_};
+  check_inputs("run_query", values, weights, values.instances);
+  const TraceScope scope(*net_, trace_state_);
+  Tracer tracer = scope.tracer();
   tracer.begin_execution();
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    ~TracerDetach() { net->set_tracer({}); }
-  } detach{net_};
-  const std::uint32_t inst = instances == 0 ? config_.instances : instances;
-  return run_query_phases(ValueTable::from_nested(values, inst, kInfinity),
-                          ValueTable::from_nested(weights, inst, 0), validate,
-                          inst, tracer, 0);
-}
-
-ExecutionOutcome VmatCoordinator::execute(
-    const std::vector<std::vector<Reading>>& values,
-    const std::vector<std::vector<std::int64_t>>& weights,
-    const ContentValidator& validate) {
-  return execute(
-      ValueTable::from_nested(values, config_.instances, kInfinity),
-      ValueTable::from_nested(weights, config_.instances, 0), validate);
-}
-
-ExecutionOutcome VmatCoordinator::execute(const ValueTable& values,
-                                          const ValueTable& weights,
-                                          const ContentValidator& validate) {
-  // Attach the flight recorder for exactly this execution: the Tracer
-  // handles passed down all point at trace_state_, and the network-side
-  // attachment is undone on every exit path so no component keeps a handle
-  // into a dead coordinator.
-  Tracer tracer{&trace_state_};
-  tracer.begin_execution();
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    ~TracerDetach() { net->set_tracer({}); }
-  } detach{net_};
-
-  // A one-shot execution forms its own tree, which orphans any epoch tree
-  // a serving layer may have prepared.
-  epoch_stale_ = true;
-
-  int rounds = 0;
-  const std::uint64_t session = fresh_nonce();
-  form_tree(session, rounds, tracer);
-  return run_query_phases(values, weights, validate, config_.instances,
-                          tracer, rounds);
+  return run_query_phases(values, weights, validate, tracer, 0);
 }
 
 ExecutionOutcome VmatCoordinator::run_query_phases(
     const ValueTable& values, const ValueTable& weights,
-    const ContentValidator& validate, std::uint32_t instances, Tracer tracer,
-    int rounds_so_far) {
+    const ContentValidator& validate, Tracer tracer, int rounds_so_far) {
   const std::uint32_t n = net_->node_count();
-  if (values.node_count != n || weights.node_count != n)
-    throw std::invalid_argument("execute: values/weights must cover all nodes");
+  const std::uint32_t instances = values.instances;
 
   // Arm `(round>= N)` trigger predicates: one bump per execution, on every
-  // entry path (execute / run_query / resume_from).
+  // verb (execute / run_query / resume_from).
   if (adversary_ != nullptr) adversary_->view().begin_execution_round();
 
   ExecutionOutcome out;
@@ -425,14 +467,11 @@ std::uint64_t VmatCoordinator::deployment_fingerprint() const {
 }
 
 Snapshot VmatCoordinator::capture_snapshot(
-    SnapshotKind kind, int rounds,
-    const std::vector<TraceEvent>& prefix_events) const {
+    int rounds, const std::vector<TraceEvent>& prefix_events) const {
   SnapshotWriter w;
 
   w.section(kCoordSection);
   w.pod(nonce_state_);
-  w.pod(epoch_stale_);
-  w.pod(epoch_);
   w.pod(broadcaster_.next_epoch());
   w.pod(static_cast<std::uint64_t>(receivers_.size()));
   for (const AuthReceiver& recv : receivers_) recv.snapshot_save(w);
@@ -478,7 +517,6 @@ Snapshot VmatCoordinator::capture_snapshot(
   w.vec_pod(prefix_events);
 
   Snapshot snap;
-  snap.kind_ = kind;
   snap.fingerprint_ = deployment_fingerprint();
   snap.node_count_ = net_->node_count();
   snap.formation_rounds_ = rounds;
@@ -496,12 +534,12 @@ void VmatCoordinator::restore_snapshot(const Snapshot& snapshot,
         "restore_snapshot: snapshot belongs to an incompatible deployment "
         "(topology/key material/config mismatch)");
 
+  // Whatever happens below, the live tree is no longer the epoch's.
+  epoch_stale_ = true;
   SnapshotReader r(snapshot.data());
 
   r.section(kCoordSection);
   r.pod(nonce_state_);
-  r.pod(epoch_stale_);
-  r.pod(epoch_);
   broadcaster_.restore_next_epoch(r.pod<std::uint64_t>());
   if (r.pod<std::uint64_t>() != receivers_.size())
     throw std::invalid_argument("restore_snapshot: receiver count mismatch");
@@ -574,132 +612,35 @@ Snapshot VmatCoordinator::snapshot_after_formation() {
   // Tee the prefix's event stream: the user's sink (if any) observes it
   // live, and the buffered copy replays into forks' sinks on restore.
   std::vector<TraceEvent> prefix;
-  TeeSink tee;
-  tee.downstream = trace_state_.sink;
-  tee.buffer = &prefix;
-  TraceSink* const user_sink = trace_state_.sink;
-  trace_state_.sink = &tee;
-
-  Tracer tracer{&trace_state_};
+  const TraceScope scope(*net_, trace_state_, &prefix);
+  Tracer tracer = scope.tracer();
   tracer.begin_execution();
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    TraceState* ts;
-    TraceSink* user;
-    ~TracerDetach() {
-      net->set_tracer({});
-      ts->sink = user;
-    }
-  } detach{net_, &trace_state_, user_sink};
 
   // Same prefix as execute(): orphan any prepared epoch, fresh session,
   // announcement + tree formation.
   epoch_stale_ = true;
   int rounds = 0;
-  const std::uint64_t session = fresh_nonce();
-  form_tree(session, rounds, tracer);
-  return capture_snapshot(SnapshotKind::kExecutionPrefix, rounds, prefix);
-}
-
-ExecutionOutcome VmatCoordinator::resume_from(
-    const Snapshot& snapshot, const std::vector<std::vector<Reading>>& values,
-    const std::vector<std::vector<std::int64_t>>& weights,
-    const ContentValidator& validate, std::uint32_t instances) {
-  if (snapshot.kind() != SnapshotKind::kExecutionPrefix)
-    throw std::invalid_argument(
-        "resume_from: not an execution-prefix snapshot (epoch snapshots "
-        "re-arm via rearm_epoch)");
-  const std::uint32_t inst = instances == 0 ? config_.instances : instances;
-  return resume_from(snapshot,
-                     ValueTable::from_nested(values, inst, kInfinity),
-                     ValueTable::from_nested(weights, inst, 0), validate,
-                     instances);
+  (void)form_tree(rounds, tracer);
+  return capture_snapshot(rounds, prefix);
 }
 
 ExecutionOutcome VmatCoordinator::resume_from(const Snapshot& snapshot,
                                               const ValueTable& values,
                                               const ValueTable& weights,
-                                              const ContentValidator& validate,
-                                              std::uint32_t instances) {
-  if (snapshot.kind() != SnapshotKind::kExecutionPrefix)
-    throw std::invalid_argument(
-        "resume_from: not an execution-prefix snapshot (epoch snapshots "
-        "re-arm via rearm_epoch)");
+                                              const ContentValidator& validate) {
+  check_inputs("resume_from", values, weights, values.instances);
   restore_snapshot(snapshot, -1);
   // Mid-execution: the captured prefix already ran begin_execution() (its
   // metrics and ordinal were just restored), so attach without resetting.
-  Tracer tracer{&trace_state_};
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    ~TracerDetach() { net->set_tracer({}); }
-  } detach{net_};
-  return run_query_phases(values, weights, validate,
-                          instances == 0 ? config_.instances : instances,
-                          tracer, snapshot.formation_rounds());
+  const TraceScope scope(*net_, trace_state_);
+  return run_query_phases(values, weights, validate, scope.tracer(),
+                          snapshot.formation_rounds());
 }
 
 ExecutionOutcome VmatCoordinator::resume_min(
     const Snapshot& snapshot, const std::vector<Reading>& readings) {
-  if (config_.instances != 1)
-    throw std::logic_error("resume_min requires instances == 1");
-  ValueTable values(static_cast<std::uint32_t>(readings.size()), 1, 0);
-  const ValueTable weights(static_cast<std::uint32_t>(readings.size()), 1, 0);
-  for (std::size_t i = 0; i < readings.size(); ++i) {
-    Reading r = readings[i];
-    if (adversary_ != nullptr && adversary_->is_byzantine(NodeId{
-            static_cast<std::uint32_t>(i)}))
-      r = adversary_->strategy().own_reading(
-          NodeId{static_cast<std::uint32_t>(i)}, r);
-    values.data[i] = r;
-  }
-  return resume_from(snapshot, values, weights);
-}
-
-bool VmatCoordinator::rearm_epoch() {
-  if (!snapshots_enabled() || !epoch_snapshot_.has_value()) return false;
-  // The formed tree is stale if anything revocation/key-shaped moved since
-  // capture; only a real prepare_epoch() may serve then.
-  if (net_->revocation().revoked_key_count() !=
-          epoch_snapshot_meta_.revoked_keys ||
-      net_->revocation().revoked_sensors_in_order().size() !=
-          epoch_snapshot_meta_.revoked_sensors ||
-      net_->key_generation() != epoch_snapshot_meta_.key_generation)
-    return false;
-
-  // Monotone counters survive the rewind: the nonce stream, the broadcast
-  // chain cursor, the trace ordinals, and the epoch id keep advancing, so
-  // a re-armed epoch never reuses a nonce or a chain element.
-  const std::uint64_t cur_nonce = nonce_state_;
-  const std::uint64_t cur_next = broadcaster_.next_epoch();
-  const std::int64_t cur_execs = trace_state_.executions;
-  const std::int64_t cur_epochs = trace_state_.epochs;
-  const std::uint64_t cur_epoch_id = epoch_.id;
-
-  restore_snapshot(*epoch_snapshot_, cur_epochs);
-
-  nonce_state_ = cur_nonce;
-  broadcaster_.restore_next_epoch(cur_next);
-  trace_state_.executions = cur_execs;
-  trace_state_.epochs = cur_epochs + 1;
-  epoch_.id = cur_epoch_id + 1;
-  epoch_stale_ = false;
-  return true;
-}
-
-std::vector<ExecutionOutcome> VmatCoordinator::run_until_result(
-    const std::vector<std::vector<Reading>>& values,
-    const std::vector<std::vector<std::int64_t>>& weights,
-    const ContentValidator& validate, int max_executions) {
-  std::vector<ExecutionOutcome> history;
-  for (int i = 0; i < max_executions; ++i) {
-    history.push_back(execute(values, weights, validate));
-    if (history.back().produced_result()) return history;
-  }
-  throw std::runtime_error(
-      "run_until_result: no result after max_executions — an execution "
-      "failed to revoke adversary material (Theorem 7 violation)");
+  const ValueTable values = min_values("resume_min", readings);
+  return resume_from(snapshot, values, ValueTable(values.node_count, 1, 0));
 }
 
 }  // namespace vmat

@@ -1,21 +1,35 @@
 // The VMAT execution driver — Figure 1's state machine, run by the trusted
 // base station.
 //
-// One execute() performs: authenticated announcement → tree formation →
-// authenticated query announcement → aggregation → junk check →
-// authenticated minimum broadcast → confirmation/SOF → veto check, and, on
-// any trigger, the corresponding pinpointing/revocation protocol. It
-// returns either per-instance minima (guaranteed correct, Theorem 2) or the
+// Every execution follows Figure 1: an authenticated announcement and a
+// tree formation, then a query block with fresh nonces — query
+// announcement → aggregation → junk check → authenticated minimum
+// broadcast → confirmation/SOF → veto check, and, on any trigger, the
+// corresponding pinpointing/revocation protocol. A query block returns
+// either per-instance minima (guaranteed correct, Theorem 2) or the
 // keys/sensors revoked (guaranteed adversary-held, Theorem 6) — the
 // Theorem 7 disjunction.
 //
-// The serving split: execute() is the one-shot form. A serving layer
-// (engine/engine.h) instead calls prepare_epoch() once — announcement +
-// tree formation under a fresh session — and then run_query() many times
-// over the shared tree; the epoch stays valid until a revocation (or
-// rekey/path-key change) invalidates the formed tree. Each run_query()
-// uses fresh query/confirmation nonces, so the per-execution security
-// argument is unchanged — only the tree-formation cost is amortized.
+// Inputs take one form: a ValueTable of values and one of weights, both
+// covering every node and `values.instances` wide. Three verbs reach the
+// query block, each one formation prefix plus the same block:
+//   * One-shot: execute() forms a tree and runs the block over it.
+//   * Fork: snapshot_after_formation() forms a tree and captures it;
+//     resume_from() restores the capture and runs the block, any number of
+//     times, on this coordinator or on a compatible one.
+//   * Serve: prepare_epoch() ensures a ready epoch; run_query() runs the
+//     block over its tree until a revocation or rekey invalidates it.
+// run_min(), resume_min() and run_until_result() are MIN and Theorem 7
+// shorthands over those verbs. Every verb checks its inputs before any
+// state moves: a rejected call forms nothing and draws no nonce.
+//
+// Why two formation verbs remain: a fork must reproduce a one-shot
+// execute() bit for bit, so it rewinds the nonce stream and meters the
+// formation into the outcome; an epoch serves consecutive queries with
+// fresh nonces and meters the formation into the Epoch. Either way each
+// query block draws its own query/confirmation nonces, so the
+// per-execution security argument is unchanged — only the tree-formation
+// cost is shared.
 #pragma once
 
 #include <functional>
@@ -91,11 +105,15 @@ struct ExecutionOutcome {
 /// MAC (e.g. synopsis consistency). Returning false marks it spurious.
 using ContentValidator = std::function<bool(const AggMessage&)>;
 
-/// A formed epoch: one authenticated announcement + tree formation whose
+/// A served epoch: one authenticated announcement + tree formation whose
 /// tree is shared by every run_query() until a revocation invalidates it.
 struct Epoch {
-  std::uint64_t id{0};       ///< 1-based formation ordinal; 0 = none yet
+  std::uint64_t id{0};       ///< 1-based epoch ordinal; 0 = none yet
   std::uint64_t session{0};  ///< the tree-formation session nonce
+  /// Restored from the formation's snapshot instead of formed: this id
+  /// spent no flooding rounds, and the formation fields below describe
+  /// the formation it restored.
+  bool restored{false};
   /// Flooding rounds spent on formation (announcement + tree phase).
   int formation_rounds{0};
   /// Metrics for the formation slice only; query executions meter their
@@ -103,8 +121,8 @@ struct Epoch {
   ExecutionMetrics metrics;
   /// Fabric bytes moved by the formation slice.
   std::uint64_t fabric_bytes{0};
-  // Revocation/key-material snapshot the epoch's validity is checked
-  // against (any change means the formed tree may be stale).
+  // Revocation/key-material state at formation (any change means the
+  // formed tree may be stale).
   std::size_t revoked_keys{0};
   std::size_t revoked_sensors{0};
   std::uint64_t key_generation{0};
@@ -119,103 +137,86 @@ class VmatCoordinator {
   VmatCoordinator(Network* net, Adversary* adversary,
                   const SimulationSpec& spec);
 
-  /// One full execution over per-node, per-instance values/weights
-  /// (kInfinity value = the node contributes nothing for that instance).
-  /// `validate` defaults to "raw reading" semantics (weight must be 0).
-  /// The nested form converts at the boundary; the ValueTable overload is
-  /// the allocation-lean path large-n drivers (run_min, benches) use.
-  [[nodiscard]] ExecutionOutcome execute(
-      const std::vector<std::vector<Reading>>& values,
-      const std::vector<std::vector<std::int64_t>>& weights,
-      const ContentValidator& validate = {});
+  // --- one-shot ---
+
+  /// Formation, then one query block config().instances wide (kInfinity
+  /// value = the node contributes nothing for that instance). `validate`
+  /// defaults to "raw reading" semantics (weight must be 0). Orphans any
+  /// prepared epoch's tree.
   [[nodiscard]] ExecutionOutcome execute(const ValueTable& values,
                                          const ValueTable& weights,
                                          const ContentValidator& validate = {});
 
-  // --- epoch-batched serving (engine/engine.h drives these) ---
-
-  /// Form (or re-form) the epoch: authenticated announcement + tree
-  /// formation under a fresh session nonce. Returns the epoch descriptor.
-  const Epoch& prepare_epoch();
-
-  /// A prepare_epoch() tree exists and no revocation / rekey / path-key
-  /// change (or intervening execute()) has stalled it.
-  [[nodiscard]] bool epoch_ready() const noexcept;
-
-  /// The last formed epoch (id 0 when none was formed yet).
-  [[nodiscard]] const Epoch& epoch() const noexcept { return epoch_; }
-
-  /// One query execution over the current epoch's tree: query announcement
-  /// → aggregation → minima announcement → confirmation → classification,
-  /// with fresh per-query nonces. Requires epoch_ready() (throws
-  /// std::logic_error otherwise). `instances` overrides config().instances
-  /// for this execution (0 = config value) — the serving engine packs many
-  /// queries into one wide execution this way. A kRevocation outcome
-  /// invalidates the epoch.
-  [[nodiscard]] ExecutionOutcome run_query(
-      const std::vector<std::vector<Reading>>& values,
-      const std::vector<std::vector<std::int64_t>>& weights,
-      const ContentValidator& validate = {}, std::uint32_t instances = 0);
-
-  /// Plain MIN query over one reading per node (instances must be 1).
+  /// Plain MIN execute() over one reading per node (instances must be 1;
+  /// byzantine sensors substitute their strategy's own_reading).
   [[nodiscard]] ExecutionOutcome run_min(const std::vector<Reading>& readings);
 
-  /// Re-run the same query until it produces a result, revoking adversary
-  /// keys along the way — the "strictly diminishing capability" loop.
-  /// Throws after `max_executions` attempts.
+  /// Re-run execute() until it produces a result, revoking adversary keys
+  /// along the way — the "strictly diminishing capability" loop. Throws
+  /// after `max_executions` attempts.
   [[nodiscard]] std::vector<ExecutionOutcome> run_until_result(
-      const std::vector<std::vector<Reading>>& values,
-      const std::vector<std::vector<std::int64_t>>& weights,
+      const ValueTable& values, const ValueTable& weights,
       const ContentValidator& validate = {}, int max_executions = 1000);
 
-  // --- copy-on-write snapshots (sim/snapshot.h) ---
+  // --- fork (copy-on-write snapshots, sim/snapshot.h) ---
 
-  /// Run the shared execution prefix — fresh session nonce, authenticated
-  /// announcement, tree formation (identical to execute()'s prefix) — and
-  /// capture the complete post-formation state. The coordinator is left
-  /// mid-execution; finish it any number of times with resume_from(), on
-  /// this coordinator or on any compatible one (same topology/keys/config;
-  /// enforced by a fingerprint check). An attached recorder observes the
-  /// prefix live here AND replayed by every restore — for one complete
-  /// stream per fork, attach the recorder to the forking coordinator after
-  /// the capture. The fork contract: the malicious
-  /// *set* shaped formation and must stay fixed across forks — strategies
-  /// may diverge post-formation (every PredicatedStrategy shares the honest
-  /// tree-slot behavior), rebound via set_adversary().
+  /// Run execute()'s prefix — fresh session nonce, authenticated
+  /// announcement, tree formation — and capture the complete
+  /// post-formation state. The coordinator is left mid-execution; finish
+  /// it any number of times with resume_from(), on this coordinator or on
+  /// any compatible one (same topology/keys/config; enforced by a
+  /// fingerprint check). An attached recorder observes the prefix live here
+  /// AND replayed by every restore — for one complete stream per fork,
+  /// attach the recorder to the forking coordinator after the capture. The
+  /// fork contract: the malicious *set* shaped formation and must stay
+  /// fixed across forks — strategies may diverge post-formation (every
+  /// PredicatedStrategy shares the honest tree-slot behavior), rebound via
+  /// set_adversary().
   [[nodiscard]] Snapshot snapshot_after_formation();
 
-  /// Finish an execution from a kExecutionPrefix snapshot: restore the
-  /// captured state and run the query phases (aggregation → confirmation →
-  /// classification) over it. Bit-identical to the execute() that would
+  /// Restore the captured state and run one query block over it,
+  /// `values.instances` wide. Bit-identical to the execute() that would
   /// have run the same prefix: same nonce stream, same stats, and — with a
   /// recorder attached — the same event stream, because the captured
   /// prefix events are replayed into the sink before the live phases run.
-  /// `instances` overrides config().instances (0 = config value).
-  [[nodiscard]] ExecutionOutcome resume_from(
-      const Snapshot& snapshot,
-      const std::vector<std::vector<Reading>>& values,
-      const std::vector<std::vector<std::int64_t>>& weights,
-      const ContentValidator& validate = {}, std::uint32_t instances = 0);
   [[nodiscard]] ExecutionOutcome resume_from(
       const Snapshot& snapshot, const ValueTable& values,
-      const ValueTable& weights, const ContentValidator& validate = {},
-      std::uint32_t instances = 0);
+      const ValueTable& weights, const ContentValidator& validate = {});
 
-  /// run_min()'s fork twin: same per-node reading preparation (byzantine
-  /// own_reading substitution included), finished via resume_from().
+  /// run_min()'s fork twin: the same per-node readings, finished via
+  /// resume_from().
   [[nodiscard]] ExecutionOutcome resume_min(
       const Snapshot& snapshot, const std::vector<Reading>& readings);
 
-  /// Re-arm the last prepare_epoch() tree from its snapshot instead of
-  /// re-forming it: O(state) restore, zero flooding rounds. Succeeds only
-  /// when snapshots are enabled, an epoch snapshot exists, and no
-  /// revocation/rekey happened since its capture (the formed tree would be
-  /// stale otherwise — prepare_epoch() is the only correct path then).
-  /// Monotone counters survive the restore: the nonce stream, the
-  /// broadcast chain cursor, and the trace ordinals keep advancing, so a
-  /// re-armed epoch never reuses a nonce or a chain element. Returns true
-  /// and leaves epoch_ready() on success.
-  bool rearm_epoch();
+  // --- serve (engine/engine.h drives these) ---
+
+  /// Ensure a ready epoch and return it:
+  ///   * a no-op while epoch_ready();
+  ///   * a restore when the epoch went stale with no revocation or rekey
+  ///     since its formation (an intervening one-shot execution or fork):
+  ///     the tree comes back from the snapshot captured at formation, in
+  ///     O(state) and zero flooding rounds. The nonce stream, the broadcast
+  ///     chain cursor and the trace ordinals keep advancing across it, so a
+  ///     restored epoch never reuses a nonce or a chain element;
+  ///   * a formation otherwise: authenticated announcement + tree
+  ///     formation under a fresh session nonce.
+  /// A restore or a formation opens a new epoch id.
+  const Epoch& prepare_epoch();
+
+  /// A prepare_epoch() tree exists and no revocation / rekey / path-key
+  /// change (or intervening execute() or fork) has stalled it.
+  [[nodiscard]] bool epoch_ready() const noexcept;
+
+  /// The current epoch (id 0 when none was prepared yet).
+  [[nodiscard]] const Epoch& epoch() const noexcept { return epoch_; }
+
+  /// One query block over the ready epoch's tree, `values.instances` wide
+  /// (the serving engine packs many queries into one wide block), with
+  /// fresh per-query nonces. Throws std::logic_error without a ready epoch.
+  /// A kRevocation outcome invalidates the epoch.
+  [[nodiscard]] ExecutionOutcome run_query(
+      const ValueTable& values, const ValueTable& weights,
+      const ContentValidator& validate = {});
 
   /// Rebind the adversary handle (fork fan-out swaps per-trial strategies;
   /// nullptr = no adversary). The malicious set must match the one the
@@ -234,14 +235,14 @@ class VmatCoordinator {
   [[nodiscard]] std::uint64_t fresh_nonce() noexcept;
 
   /// How many tree formations this coordinator has run (execute(),
-  /// prepare_epoch(), snapshot_after_formation() each form once; resumes
-  /// and rearms never do). The campaign bench asserts fork-mode probes
-  /// leave this at 1.
+  /// snapshot_after_formation() and a forming prepare_epoch() each form
+  /// once; resumes and epoch restores never do). The campaign bench
+  /// asserts fork-mode probes leave this at 1.
   [[nodiscard]] std::uint64_t formations_run() const noexcept {
     return formations_;
   }
 
-  /// Attach a flight recorder: every subsequent execute() records its full
+  /// Attach a flight recorder: every subsequent verb records its full
   /// event stream into it (and fills its TraceContext from this deployment).
   /// Pass nullptr to stop recording; per-phase metrics are metered either
   /// way and land in ExecutionOutcome::metrics.
@@ -253,27 +254,41 @@ class VmatCoordinator {
   void authenticated_broadcast(const Bytes& payload, int& rounds,
                                Tracer tracer);
 
-  /// Announcement broadcast + tree formation for `session` (fills tree_).
-  void form_tree(std::uint64_t session, int& rounds, Tracer tracer);
+  /// Announcement broadcast + tree formation under a fresh session nonce
+  /// (fills tree_); returns the session.
+  std::uint64_t form_tree(int& rounds, Tracer tracer);
 
-  /// Query announcement → aggregation → minima announcement →
-  /// confirmation → classification over the already-formed tree_;
-  /// `rounds_so_far` seeds ExecutionOutcome::data_rounds.
+  /// The query block: query announcement → aggregation → minima
+  /// announcement → confirmation → classification over the already-formed
+  /// tree_, `values.instances` wide; `rounds_so_far` seeds
+  /// ExecutionOutcome::data_rounds.
   [[nodiscard]] ExecutionOutcome run_query_phases(
       const ValueTable& values, const ValueTable& weights,
-      const ContentValidator& validate, std::uint32_t instances,
-      Tracer tracer, int rounds_so_far);
+      const ContentValidator& validate, Tracer tracer, int rounds_so_far);
+
+  /// Throws std::invalid_argument unless both tables cover every node and
+  /// are `width` (>= 1) instances wide.
+  void check_inputs(const char* verb, const ValueTable& values,
+                    const ValueTable& weights, std::uint32_t width) const;
+
+  /// run_min()/resume_min() input: one instance per node, byzantine
+  /// sensors' readings replaced by their strategy's own_reading.
+  [[nodiscard]] ValueTable min_values(const char* verb,
+                                      const std::vector<Reading>& readings) const;
+
+  /// The epoch's formed tree still matches the revocation/key state.
+  [[nodiscard]] bool epoch_tree_current() const noexcept;
 
   /// Hash pinning the immutable deployment identity a snapshot belongs to.
   [[nodiscard]] std::uint64_t deployment_fingerprint() const;
   /// Serialize the coordinator + network state (with the buffered prefix
   /// trace events) into a Snapshot.
   [[nodiscard]] Snapshot capture_snapshot(
-      SnapshotKind kind, int rounds,
-      const std::vector<TraceEvent>& prefix_events) const;
+      int rounds, const std::vector<TraceEvent>& prefix_events) const;
   /// Decode a snapshot back into this coordinator/network, replaying the
-  /// buffered prefix events into an attached sink. `epoch_ordinal` >= 0
-  /// rewrites the replayed kEpochBegin ordinal (rearm continues the live
+  /// buffered prefix events into an attached sink, and mark the epoch
+  /// stale (its tree was just replaced). `epoch_ordinal` >= 0 rewrites the
+  /// replayed kEpochBegin ordinal (an epoch restore continues the live
   /// epoch counter instead of rewinding it).
   void restore_snapshot(const Snapshot& snapshot, std::int64_t epoch_ordinal);
 
@@ -295,21 +310,24 @@ class VmatCoordinator {
   std::uint64_t formations_{0};
   AuditLog audits_;
   TreeResult tree_;
+  // The live epoch: it always describes the formation epoch_snapshot_
+  // holds, so no restore may overwrite it. A fork marks it stale; an epoch
+  // restore bumps its id.
+  // vmat-analyze: allow(snapshot-field-coverage) -- live epoch descriptor
   Epoch epoch_;
+  // vmat-analyze: allow(snapshot-field-coverage) -- live epoch descriptor
   bool epoch_stale_{true};
   AuthBroadcaster broadcaster_;
   std::vector<AuthReceiver> receivers_;
   /// Shared by every component tracing one execution; the Tracer handles
   /// threaded through the phases all point here.
   TraceState trace_state_;
-  /// The kEpoch snapshot prepare_epoch() captures (when snapshots are
-  /// enabled), plus the epoch-validity guard recorded at capture time.
-  /// Snapshot storage itself: capturing a snapshot inside a snapshot
-  /// would recurse, so the pair deliberately skips both members.
+  /// The snapshot a forming prepare_epoch() captures, restored when the
+  /// epoch goes stale with its tree still current. Never leaves the
+  /// coordinator. Snapshot storage itself: capturing a snapshot inside a
+  /// snapshot would recurse, so it deliberately skips this member.
   // vmat-analyze: allow(snapshot-field-coverage) -- snapshot storage
   std::optional<Snapshot> epoch_snapshot_;
-  // vmat-analyze: allow(snapshot-field-coverage) -- snapshot storage
-  Epoch epoch_snapshot_meta_;
 };
 
 }  // namespace vmat

@@ -137,9 +137,9 @@ struct TreeResult {
 
 /// Dense node-major value storage for per-node, per-instance readings and
 /// weights: one flat row of `instances` entries per node (8 B each) instead
-/// of a vector-of-vectors (24 B header + a heap block per node). The phase
-/// drivers consume this form; the coordinator's nested public API converts
-/// at the boundary (run_min builds it directly).
+/// of a vector-of-vectors (24 B header + a heap block per node). It is the
+/// one input form of the coordinator's verbs and of the phase drivers;
+/// from_nested() converts a nested table for callers that build one.
 struct ValueTable {
   std::uint32_t node_count{0};
   std::uint32_t instances{0};

@@ -1,5 +1,6 @@
 #include "core/query.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace vmat {
@@ -13,18 +14,15 @@ QueryEngine::QueryEngine(VmatCoordinator* coordinator)
 QueryOutcome QueryEngine::run_synopsis_query(
     const std::vector<std::int64_t>& weights) {
   const std::uint32_t instances = coordinator_->config().instances;
-  const std::size_t n = weights.size();
+  const auto n = static_cast<std::uint32_t>(weights.size());
 
   const SynopsisCodec codec(coordinator_->fresh_nonce());
-  std::vector<std::vector<Reading>> values(n);
-  std::vector<std::vector<std::int64_t>> weight_grid(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    values[id].assign(instances, kInfinity);
-    weight_grid[id].assign(instances, 0);
+  ValueTable values(n, instances, kInfinity);
+  ValueTable weight_grid(n, instances, 0);
+  for (std::uint32_t id = 0; id < n; ++id) {
     if (weights[id] <= 0 || id == kBaseStation.value) continue;
-    codec.fill_values(NodeId{static_cast<std::uint32_t>(id)}, weights[id],
-                      values[id]);
-    weight_grid[id].assign(instances, weights[id]);
+    codec.fill_values(NodeId{id}, weights[id], values.row(id));
+    std::ranges::fill(weight_grid.row(id), weights[id]);
   }
 
   QueryOutcome out;
@@ -81,16 +79,11 @@ QueryOutcome QueryEngine::run_plain_min(const std::vector<Reading>& readings) {
   // Uses instance 0 only, whatever the coordinator's instance count, so
   // one engine serves synopsis queries and exact MIN/MAX alike.
   const std::uint32_t instances = coordinator_->config().instances;
-  const std::size_t n = readings.size();
-  std::vector<std::vector<Reading>> values(n);
-  std::vector<std::vector<std::int64_t>> weights(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    values[id].assign(instances, kInfinity);
-    weights[id].assign(instances, 0);
-    if (id != kBaseStation.value) values[id][0] = readings[id];
-  }
+  const auto n = static_cast<std::uint32_t>(readings.size());
+  ValueTable values(n, instances, kInfinity);
+  for (std::uint32_t id = 1; id < n; ++id) values.row(id)[0] = readings[id];
   QueryOutcome out;
-  out.exec = coordinator_->execute(values, weights);
+  out.exec = coordinator_->execute(values, ValueTable(n, instances, 0));
   if (out.exec.produced_result() && out.exec.minima[0] != kInfinity)
     out.estimate = static_cast<double>(out.exec.minima[0]);
   return out;

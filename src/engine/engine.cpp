@@ -111,27 +111,24 @@ void Engine::settle_failure(Pending& p, ErrorCode code, const char* detail) {
 }
 
 void Engine::prepare() {
-  // Re-arm the shared tree from its snapshot when the epoch went stale
-  // without a revocation (an intervening one-shot execution, say);
-  // otherwise form (or re-form, after a revocation) it for real.
-  if (coordinator_->epoch_ready()) return;
-  if (coordinator_->rearm_epoch()) {
+  // The coordinator keeps a ready epoch, restores a stale one whose tree is
+  // still current, or forms a new one. Open a rollup for any epoch id this
+  // engine has not served yet, whoever prepared it.
+  const Epoch& epoch = coordinator_->prepare_epoch();
+  if (!epochs_.empty() && epochs_.back().epoch_id == epoch.id) return;
+  EpochRollup rollup;
+  rollup.epoch_id = epoch.id;
+  if (epoch.restored) {
     stats_.epochs_rearmed += 1;
-    EpochRollup rollup;
-    rollup.epoch_id = coordinator_->epoch().id;
     rollup.rearmed = true;  // restored, not re-flooded: zero formation cost
-    epochs_.push_back(std::move(rollup));
   } else {
-    const Epoch& epoch = coordinator_->prepare_epoch();
     stats_.epochs_formed += 1;
     stats_.fabric_bytes += epoch.fabric_bytes;
-    EpochRollup rollup;
-    rollup.epoch_id = epoch.id;
     rollup.formation_rounds = epoch.formation_rounds;
     rollup.formation_bytes = epoch.fabric_bytes;
     rollup.metrics = epoch.metrics;
-    epochs_.push_back(std::move(rollup));
   }
+  epochs_.push_back(std::move(rollup));
 }
 
 bool Engine::step() {
@@ -269,29 +266,25 @@ void Engine::run_round() {
   for (std::size_t bi = 0; bi < blocks.size(); ++bi)
     if (blocks[bi].synopsis) codecs[bi].emplace(blocks[bi].nonce);
 
-  std::vector<std::vector<Reading>> values(n);
-  std::vector<std::vector<std::int64_t>> weights(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    values[id].assign(total, kInfinity);
-    weights[id].assign(total, 0);
-  }
+  const auto nodes = static_cast<std::uint32_t>(n);
+  ValueTable values(nodes, total, kInfinity);
+  ValueTable weights(nodes, total, 0);
   pool_->for_each(
       blocks.size(),
-      [&blocks, &codecs, &values, &weights, n](std::size_t bi) {
+      [&blocks, &codecs, &values, &weights, nodes](std::size_t bi) {
         const Block& b = blocks[bi];
         if (!b.synopsis) {
-          for (std::size_t id = 1; id < n; ++id)
-            values[id][b.offset] = b.readings[id];
+          for (std::uint32_t id = 1; id < nodes; ++id)
+            values.row(id)[b.offset] = b.readings[id];
           return;
         }
         const SynopsisCodec& codec = *codecs[bi];
-        for (std::size_t id = 1; id < n; ++id) {
+        for (std::uint32_t id = 1; id < nodes; ++id) {
           const std::int64_t w = b.weights[id];
           if (w <= 0) continue;
-          codec.fill_values(
-              NodeId{static_cast<std::uint32_t>(id)}, w,
-              std::span<Reading>(values[id]).subspan(b.offset, b.instances));
-          std::fill_n(weights[id].begin() + b.offset, b.instances, w);
+          codec.fill_values(NodeId{id}, w,
+                            values.row(id).subspan(b.offset, b.instances));
+          std::ranges::fill(weights.row(id).subspan(b.offset, b.instances), w);
         }
       });
 
@@ -311,7 +304,7 @@ void Engine::run_round() {
   };
 
   const ExecutionOutcome exec =
-      coordinator_->run_query(values, weights, validate, total);
+      coordinator_->run_query(values, weights, validate);
 
   stats_.executions += 1;
   stats_.fabric_bytes += exec.fabric_bytes;

@@ -4,9 +4,11 @@
 // QueryEngine runs one query per VMAT execution, and every execution pays
 // for an authenticated announcement plus a full tree formation. The Engine
 // amortizes that: queries are submitted into a queue, and each serving
-// round packs up to max_in_flight of them into ONE wide execution over the
-// current *epoch* — a tree formed once by prepare_epoch() and shared until
-// a revocation (or rekey) invalidates it. The combined execution's
+// round packs up to max_in_flight of them into ONE wide run_query() over
+// the current *epoch* — a tree formed once by prepare_epoch() and shared
+// until a revocation (or rekey) invalidates it. An epoch that only went
+// stale (a one-shot execution or a fork ran in between) comes back from
+// its snapshot instead of being re-formed. The combined execution's
 // instance space is the concatenation of per-query blocks; every synopsis
 // block keeps its own query nonce and SynopsisCodec, so each query's
 // synopses are exactly what a standalone execution would use and the
@@ -109,8 +111,9 @@ struct EngineConfig {
 /// Per-epoch rollup: formation cost plus everything served on that tree.
 struct EpochRollup {
   std::uint64_t epoch_id{0};
-  /// The epoch was re-armed from its snapshot instead of re-formed: zero
-  /// formation rounds/bytes (the tree was restored, not re-flooded).
+  /// The epoch was restored from its snapshot instead of formed (see
+  /// Epoch::restored): zero formation rounds/bytes (the tree was restored,
+  /// not re-flooded).
   bool rearmed{false};
   int formation_rounds{0};
   std::uint64_t formation_bytes{0};
@@ -126,9 +129,10 @@ struct EngineStats {
   std::uint64_t rounds{0};
   std::uint64_t executions{0};
   std::uint64_t disrupted_executions{0};
+  /// Epochs served on, by how they were prepared (by this engine or
+  /// before it saw them): formed, or restored from their formation
+  /// snapshot — the zero-flooding recovery path.
   std::uint64_t epochs_formed{0};
-  /// Epochs restored from their prepare_epoch() snapshot (rearm_epoch())
-  /// instead of re-formed — the zero-flooding recovery path.
   std::uint64_t epochs_rearmed{0};
   std::uint64_t queries_answered{0};
   std::uint64_t queries_failed{0};
@@ -157,9 +161,11 @@ class Engine {
 
   // --- non-blocking serving seams (the vmatd daemon drives these) ---
 
-  /// Ensure the serving epoch is ready without running any query: re-arm
-  /// it from its prepare_epoch() snapshot when possible, form it
-  /// otherwise. No-op when the epoch is already ready. This is the
+  /// Ensure the serving epoch is ready without running any query
+  /// (VmatCoordinator::prepare_epoch(): a no-op while ready, a restore from
+  /// its snapshot when its tree is still current, a formation otherwise),
+  /// and open a rollup for an epoch this engine has not served yet, also
+  /// one the coordinator prepared before the engine saw it. This is the
   /// pipelining seam — a multiplexer calls it on an idle tenant so the
   /// tree formation overlaps other tenants' serving rounds and the next
   /// burst of queries lands on a warm epoch.
@@ -193,7 +199,7 @@ class Engine {
   }
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
-  /// One rollup per epoch formed by this engine, in formation order.
+  /// One rollup per epoch this engine served on, in epoch order.
   [[nodiscard]] const std::vector<EpochRollup>& epoch_rollups() const noexcept {
     return epochs_;
   }

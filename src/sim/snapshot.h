@@ -9,7 +9,9 @@
 // O(state size): vectors resize into retained capacity and payload bytes
 // re-enter the slot arenas through their bump allocators, so a steady-state
 // fork performs no heap allocation beyond what the very first restore
-// warmed up.
+// warmed up. The coordinator restores one format in two places: a fork
+// (resume_from) and a stale epoch whose tree is still current
+// (prepare_epoch); the epoch's snapshot never leaves the coordinator.
 //
 // What is NOT captured (see DESIGN.md "Snapshots & fork execution"):
 //   * Immutable deployment identity — topology CSR, key pool/ring material,
@@ -23,6 +25,8 @@
 //   * The adversary. Forks rebind strategies via
 //     VmatCoordinator::set_adversary(); the fork contract requires the
 //     malicious *set* (which shaped formation) to stay fixed.
+//   * The coordinator's live epoch descriptor. Every restore marks the
+//     epoch stale; an epoch restore then re-opens it under a new id.
 //
 // Buffer layout: a fixed sequence of tagged sections, each a sequence of
 // little-endian-order POD fields and length-prefixed POD vectors. The
@@ -40,12 +44,6 @@
 #include "util/bytes.h"
 
 namespace vmat {
-
-/// True unless the VMAT_SNAPSHOT environment variable is exactly "0" — the
-/// escape hatch that disables cross-trial snapshot sharing in the bench
-/// fork fan-out and epoch re-arming in the serving engine (every execution
-/// then pays for its own formation, the pre-snapshot behavior).
-[[nodiscard]] bool snapshots_enabled();
 
 /// Append-only encoder for snapshot sections. All writes are raw memcpys
 /// of trivially copyable values; layout is the write order.
@@ -154,19 +152,11 @@ class SnapshotReader {
   std::size_t pos_{0};
 };
 
-/// What execution point a snapshot captures.
-enum class SnapshotKind : std::uint8_t {
-  /// Mid-execution, right after tree formation: resume_from() finishes the
-  /// execution (query phases) many times over, once per fork.
-  kExecutionPrefix = 1,
-  /// A served epoch at prepare_epoch(): rearm_epoch() re-serves the formed
-  /// tree after a transient disruption without re-forming it.
-  kEpoch = 2,
-};
-
-/// A captured execution state. Value type: copy the Snapshot (one buffer
-/// copy) to fork it across threads; each restore decodes its own copy or
-/// the shared original — restores never mutate the snapshot.
+/// A captured post-formation state: VmatCoordinator::resume_from()
+/// finishes the execution it interrupted (the query block), once per
+/// fork. Value type: copy the Snapshot (one buffer copy) to fork it across
+/// threads; each restore decodes its own copy or the shared original —
+/// restores never mutate the snapshot.
 class Snapshot {
  public:
   Snapshot() = default;
@@ -175,7 +165,6 @@ class Snapshot {
   [[nodiscard]] std::size_t size_bytes() const noexcept {
     return buffer_.size();
   }
-  [[nodiscard]] SnapshotKind kind() const noexcept { return kind_; }
   /// Deployment identity hash restore checks against (topology, key
   /// material spec, coordinator config).
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
@@ -197,7 +186,6 @@ class Snapshot {
   friend class VmatCoordinator;
 
   Bytes buffer_;
-  SnapshotKind kind_{SnapshotKind::kExecutionPrefix};
   std::uint64_t fingerprint_{0};
   std::uint32_t node_count_{0};
   int formation_rounds_{0};

@@ -33,6 +33,19 @@ inline std::vector<Reading> default_readings(std::uint32_t n) {
   return readings;
 }
 
+/// One-instance MIN inputs: `readings` as the node-major values and zero
+/// weights (raw-reading semantics).
+struct MinInputs {
+  ValueTable values;
+  ValueTable weights;
+};
+inline MinInputs min_inputs(const std::vector<Reading>& readings) {
+  const auto n = static_cast<std::uint32_t>(readings.size());
+  MinInputs in{ValueTable(n, 1, 0), ValueTable(n, 1, 0)};
+  in.values.data = readings;
+  return in;
+}
+
 /// The correctness bound of Section III: the smallest reading among
 /// *honest* non-revoked sensors. Malicious sensors may legitimately
 /// under-report or hide their own readings, so a returned result must be

@@ -352,9 +352,7 @@ TEST(Campaign, ForkProbesMatchScratchProbes) {
   EXPECT_EQ(a.corpus, b.corpus);
   EXPECT_EQ(a.coverage_buckets, b.coverage_buckets);
   EXPECT_GE(b.formations, static_cast<std::uint64_t>(b.probes.size()));
-  if (snapshots_enabled()) {
-    EXPECT_EQ(a.formations, 1u);
-  }
+  EXPECT_EQ(a.formations, 1u);
 }
 
 TEST(Campaign, CorpusReplaysIdenticallyAcrossThreadCounts) {

@@ -81,12 +81,7 @@ TEST(Coordinator, NeverReturnsIncorrectResult) {
 TEST(Coordinator, RecoversFromEveryAttackFamily) {
   const auto topo = Topology::grid(5, 5);
   const auto readings = default_readings(25);
-  std::vector<std::vector<Reading>> values(25);
-  std::vector<std::vector<std::int64_t>> weights(25);
-  for (std::uint32_t id = 0; id < 25; ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
+  const auto [values, weights] = testing::min_inputs(readings);
 
   const std::pair<const char*, LiePolicy> families[] = {
       {"silent", LiePolicy::kDenyAll}, {"drop", LiePolicy::kAdmitAll},
@@ -177,9 +172,11 @@ TEST(Coordinator, EmptyNetworkMinIsInfinity) {
   CoordinatorSpec cfg;
   cfg.instances = 1;
   VmatCoordinator coordinator(&net, nullptr, cfg);
-  std::vector<std::vector<Reading>> values(4, {kInfinity});
-  std::vector<std::vector<std::int64_t>> weights(4, {0});
-  const auto out = coordinator.execute(values, weights);
+  const std::vector<std::vector<Reading>> values(4, {kInfinity});
+  const std::vector<std::vector<std::int64_t>> weights(4, {0});
+  const auto out =
+      coordinator.execute(ValueTable::from_nested(values, 1, kInfinity),
+                          ValueTable::from_nested(weights, 1, 0));
   ASSERT_EQ(out.kind, OutcomeKind::kResult);
   EXPECT_EQ(out.minima[0], kInfinity);
 }
@@ -187,10 +184,12 @@ TEST(Coordinator, EmptyNetworkMinIsInfinity) {
 TEST(Coordinator, ValidatesInputSizes) {
   Network net(Topology::line(4), dense_keys());
   VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
-  std::vector<std::vector<Reading>> bad(3, {1});
-  std::vector<std::vector<std::int64_t>> weights(4, {0});
-  EXPECT_THROW((void)coordinator.execute(bad, weights),
-               std::invalid_argument);
+  const std::vector<std::vector<Reading>> bad(3, {1});
+  const std::vector<std::vector<std::int64_t>> weights(4, {0});
+  EXPECT_THROW(
+      (void)coordinator.execute(ValueTable::from_nested(bad, 1, kInfinity),
+                                ValueTable::from_nested(weights, 1, 0)),
+      std::invalid_argument);
   EXPECT_THROW((void)coordinator.run_min({1, 2}), std::invalid_argument);
 }
 
@@ -199,6 +198,54 @@ TEST(Coordinator, InstancesZeroRejected) {
   CoordinatorSpec cfg;
   cfg.instances = 0;
   EXPECT_THROW(VmatCoordinator(&net, nullptr, cfg), std::invalid_argument);
+}
+
+TEST(Coordinator, RejectedInputsMoveNoState) {
+  // Every verb checks node count and width before any state moves: a
+  // rejected call forms no tree, draws no nonce and orphans no epoch, so
+  // the coordinator stays in step with an untouched twin.
+  const auto topo = Topology::grid(6, 6);
+  CoordinatorSpec cfg;
+  cfg.instances = 4;
+  Network net(topo, dense_keys());
+  Network twin_net(topo, dense_keys());
+  VmatCoordinator coordinator(&net, nullptr, cfg);
+  VmatCoordinator twin(&twin_net, nullptr, cfg);
+
+  const ValueTable narrow(36, 3, kInfinity);
+  const ValueTable narrow_weights(36, 3, 0);
+  const ValueTable wide(36, 4, kInfinity);
+  const ValueTable short_values(35, 4, kInfinity);
+  const ValueTable short_weights(35, 4, 0);
+  const ValueTable empty(36, 0, 0);
+
+  EXPECT_THROW((void)coordinator.execute(narrow, narrow_weights),
+               std::invalid_argument);
+  EXPECT_THROW((void)coordinator.execute(wide, narrow_weights),
+               std::invalid_argument);
+  EXPECT_THROW((void)coordinator.execute(short_values, short_weights),
+               std::invalid_argument);
+
+  const Snapshot snapshot = coordinator.snapshot_after_formation();
+  (void)twin.snapshot_after_formation();
+  EXPECT_THROW((void)coordinator.resume_from(snapshot, wide, narrow_weights),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)coordinator.resume_from(snapshot, short_values, short_weights),
+      std::invalid_argument);
+
+  (void)coordinator.prepare_epoch();
+  (void)twin.prepare_epoch();
+  EXPECT_THROW((void)coordinator.run_query(wide, narrow_weights),
+               std::invalid_argument);
+  EXPECT_THROW((void)coordinator.run_query(short_values, short_weights),
+               std::invalid_argument);
+  EXPECT_THROW((void)coordinator.run_query(empty, empty),
+               std::invalid_argument);
+  EXPECT_TRUE(coordinator.epoch_ready());
+
+  EXPECT_EQ(coordinator.formations_run(), twin.formations_run());
+  EXPECT_EQ(coordinator.fresh_nonce(), twin.fresh_nonce());
 }
 
 }  // namespace

@@ -168,11 +168,33 @@ TEST(Engine, EpochInvalidatedByRevocationAndRekey) {
 
 TEST(Engine, RunQueryWithoutEpochThrows) {
   EngineFixture fx(1);
-  std::vector<std::vector<Reading>> values(kNodes, std::vector<Reading>{1});
-  std::vector<std::vector<std::int64_t>> weights(kNodes,
-                                                 std::vector<std::int64_t>{0});
+  const ValueTable values(kNodes, 1, 1);
+  const ValueTable weights(kNodes, 1, 0);
   EXPECT_THROW((void)fx.coordinator->run_query(values, weights),
                std::logic_error);
+}
+
+TEST(Engine, ServesEpochPreparedOutsideTheEngine) {
+  Network net(Topology::grid(6, 6), dense_keys());
+  VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
+  (void)coordinator.prepare_epoch();
+  Engine engine(&coordinator);
+
+  // The engine never prepared this epoch itself; it must still open a
+  // rollup for it before serving.
+  EngineQuery query;
+  query.kind = EngineQueryKind::kMin;
+  query.raw = testing::default_readings(kNodes);
+  const auto results = engine.run_batch({query});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].answered());
+  EXPECT_EQ(results[0].estimate.value(), 101.0);
+  EXPECT_EQ(results[0].epoch_id, 1u);
+  EXPECT_EQ(coordinator.formations_run(), 1u);
+  ASSERT_EQ(engine.epoch_rollups().size(), 1u);
+  EXPECT_EQ(engine.epoch_rollups()[0].epoch_id, 1u);
+  EXPECT_EQ(engine.epoch_rollups()[0].executions, 1u);
+  EXPECT_EQ(engine.epoch_rollups()[0].queries_served, 1u);
 }
 
 TEST(Engine, ChokingAdversaryTriggersBackoffThenAnswers) {
@@ -369,11 +391,9 @@ TEST(Engine, PrepareWarmsEpochAheadAndRearmsAfterOneShot) {
   EXPECT_EQ(fx.engine->stats().epochs_formed, 1u);
 
   // A one-shot execution orphans the epoch's tree WITHOUT moving key
-  // material — the only situation rearm_epoch() covers.
-  const std::vector<std::vector<Reading>> values(
-      kNodes, std::vector<Reading>(40, kInfinity));
-  const std::vector<std::vector<std::int64_t>> weights(
-      kNodes, std::vector<std::int64_t>(40, 0));
+  // material — the only situation an epoch restore covers.
+  const ValueTable values(kNodes, 40, kInfinity);
+  const ValueTable weights(kNodes, 40, 0);
   (void)fx.coordinator->execute(values, weights);
   EXPECT_FALSE(fx.coordinator->epoch_ready());
   fx.engine->prepare();

@@ -71,9 +71,11 @@ TEST(Report, DeploymentSummary) {
 TEST(Report, InfinityMinimaRendered) {
   Network net(Topology::line(4), dense_keys());
   VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
-  std::vector<std::vector<Reading>> values(4, {kInfinity});
-  std::vector<std::vector<std::int64_t>> weights(4, {0});
-  const auto out = coordinator.execute(values, weights);
+  const std::vector<std::vector<Reading>> values(4, {kInfinity});
+  const std::vector<std::vector<std::int64_t>> weights(4, {0});
+  const auto out =
+      coordinator.execute(ValueTable::from_nested(values, 1, kInfinity),
+                          ValueTable::from_nested(weights, 1, 0));
   EXPECT_NE(summarize(out).find("inf"), std::string::npos);
 }
 

@@ -163,12 +163,7 @@ ThetaCampaignResult run_theta_campaign(std::uint32_t theta,
   VmatCoordinator coordinator(&net, &adv, cfg);
 
   const auto readings = default_readings(net.node_count());
-  std::vector<std::vector<Reading>> values(net.node_count());
-  std::vector<std::vector<std::int64_t>> weights(net.node_count());
-  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
+  const auto [values, weights] = testing::min_inputs(readings);
   const auto history = coordinator.run_until_result(values, weights, {}, 500);
 
   ThetaCampaignResult result;

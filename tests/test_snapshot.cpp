@@ -1,12 +1,11 @@
 // Copy-on-write snapshot tests: a fork (snapshot_after_formation +
 // resume_from) must be bit-identical to the execute() that would have run
 // the same prefix — same stats, same trace stream, for any thread count —
-// and a re-armed epoch must continue the live nonce/ordinal streams. The
+// and a restored epoch must continue the live nonce/ordinal streams. The
 // SnapshotParallel suite runs concurrent forks and is picked up by the
 // sanitizer CI matrix (ctest -R 'Parallel|ThreadPool|TrialSeed').
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -47,28 +46,6 @@ std::vector<Reading> trial_readings(std::uint32_t n, std::size_t trial) {
   return readings;
 }
 
-/// Pin VMAT_SNAPSHOT for one test and restore the previous value after.
-class SnapshotEnvGuard {
- public:
-  explicit SnapshotEnvGuard(const char* value) {
-    if (const char* prev = std::getenv("VMAT_SNAPSHOT")) {
-      had_ = true;
-      prev_ = prev;
-    }
-    setenv("VMAT_SNAPSHOT", value, 1);
-  }
-  ~SnapshotEnvGuard() {
-    if (had_)
-      setenv("VMAT_SNAPSHOT", prev_.c_str(), 1);
-    else
-      unsetenv("VMAT_SNAPSHOT");
-  }
-
- private:
-  bool had_{false};
-  std::string prev_;
-};
-
 /// Override intra-execution threads for one test, restoring the default.
 class ScopedThreads {
  public:
@@ -94,7 +71,6 @@ TEST(Snapshot, ForkMatchesScratchBitIdentical) {
   VmatCoordinator forker(&fork_net, nullptr, CoordinatorSpec{});
   const Snapshot snapshot = forker.snapshot_after_formation();
   EXPECT_FALSE(snapshot.empty());
-  EXPECT_EQ(snapshot.kind(), SnapshotKind::kExecutionPrefix);
   EXPECT_EQ(snapshot.node_count(), 36u);
 
   // Attached after the capture, the recorder receives the replayed prefix
@@ -285,29 +261,64 @@ TEST(Snapshot, RestoreRejectsStaleKeyMaterial) {
                std::invalid_argument);
 }
 
-TEST(Snapshot, EnvEscapeHatchDisablesRearm) {
-  const SnapshotEnvGuard guard("0");
-  EXPECT_FALSE(snapshots_enabled());
+/// One row of the prepare_epoch() transition table: how the epoch is
+/// disturbed after its formation, and what the next prepare_epoch() does.
+struct EpochTransition {
+  const char* name;
+  void (*disturb)(Network& net, VmatCoordinator& coordinator);
+  std::uint64_t id_delta;
+  std::uint64_t formations_delta;
+  bool restored;
+};
 
-  Network net(Topology::grid(5, 5), dense_keys());
-  VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
-  (void)coordinator.prepare_epoch();
+TEST(Snapshot, PrepareEpochTransitions) {
+  const EpochTransition table[] = {
+      {"ready epoch: no-op", [](Network&, VmatCoordinator&) {}, 0, 0, false},
+      {"one-shot execution: restore",
+       [](Network&, VmatCoordinator& c) {
+         (void)c.run_min(default_readings(25));
+       },
+       1, 0, true},
+      {"fork: restore",
+       [](Network&, VmatCoordinator& c) {
+         const Snapshot snapshot = c.snapshot_after_formation();
+         (void)c.resume_min(snapshot, default_readings(25));
+       },
+       1, 0, true},
+      {"key revocation: formation",
+       [](Network& net, VmatCoordinator&) {
+         (void)net.revocation().revoke_key(KeyIndex{5});
+       },
+       1, 1, false},
+      {"sensor revocation: formation",
+       [](Network& net, VmatCoordinator&) {
+         (void)net.revocation().revoke_sensor(NodeId{5});
+       },
+       1, 1, false},
+      {"rekey: formation",
+       [](Network& net, VmatCoordinator&) {
+         (void)net.rekey(dense_keys(0, 77).keys);
+       },
+       1, 1, false},
+  };
+  for (const EpochTransition& row : table) {
+    SCOPED_TRACE(row.name);
+    Network net(Topology::grid(5, 5), dense_keys());
+    VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
+    const Epoch& formed = coordinator.prepare_epoch();
+    ASSERT_EQ(formed.id, 1u);
+    ASSERT_FALSE(formed.restored);
+    ASSERT_EQ(coordinator.formations_run(), 1u);
 
-  // Stale the epoch without a revocation; with VMAT_SNAPSHOT=0 no epoch
-  // snapshot was captured, so re-arming must refuse and leave the stale
-  // epoch to prepare_epoch().
-  const auto one_shot = coordinator.run_min(default_readings(25));
-  ASSERT_EQ(one_shot.kind, OutcomeKind::kResult);
-  EXPECT_FALSE(coordinator.epoch_ready());
-  EXPECT_FALSE(coordinator.rearm_epoch());
-
-  // Explicit forks still work — they just stop sharing (every capture is
-  // private), which is the bench escape-hatch mode.
-  Network fork_net(Topology::grid(5, 5), dense_keys());
-  VmatCoordinator forker(&fork_net, nullptr, CoordinatorSpec{});
-  const Snapshot snapshot = forker.snapshot_after_formation();
-  const auto out = forker.resume_min(snapshot, default_readings(25));
-  EXPECT_EQ(out.kind, OutcomeKind::kResult);
+    row.disturb(net, coordinator);
+    EXPECT_EQ(coordinator.epoch_ready(), row.id_delta == 0);
+    const std::uint64_t formations = coordinator.formations_run();
+    const Epoch& epoch = coordinator.prepare_epoch();
+    EXPECT_TRUE(coordinator.epoch_ready());
+    EXPECT_EQ(epoch.id, 1 + row.id_delta);
+    EXPECT_EQ(coordinator.formations_run(), formations + row.formations_delta);
+    EXPECT_EQ(epoch.restored, row.restored);
+  }
 }
 
 TEST(Snapshot, RearmContinuesEpochOrdinalsAndResults) {
@@ -318,24 +329,21 @@ TEST(Snapshot, RearmContinuesEpochOrdinalsAndResults) {
   coordinator.set_recorder(&recorder);
 
   const auto readings = default_readings(n);
-  std::vector<std::vector<Reading>> values(n);
-  std::vector<std::vector<std::int64_t>> weights(n);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
+  ValueTable values(n, 1, 0);
+  values.data = readings;
+  const ValueTable weights(n, 1, 0);
 
   (void)coordinator.prepare_epoch();
   const auto served = coordinator.run_query(values, weights);
   ASSERT_EQ(served.kind, OutcomeKind::kResult);
 
   // An intervening one-shot execution stales the epoch without touching
-  // revocations — exactly the case re-arming exists for.
+  // revocations — exactly the case an epoch restore exists for.
   const auto one_shot = coordinator.run_min(readings);
   ASSERT_EQ(one_shot.kind, OutcomeKind::kResult);
   ASSERT_FALSE(coordinator.epoch_ready());
 
-  ASSERT_TRUE(coordinator.rearm_epoch());
+  ASSERT_TRUE(coordinator.prepare_epoch().restored);
   EXPECT_TRUE(coordinator.epoch_ready());
   EXPECT_EQ(coordinator.epoch().id, 2u);
 
@@ -345,7 +353,7 @@ TEST(Snapshot, RearmContinuesEpochOrdinalsAndResults) {
   coordinator.set_recorder(nullptr);
 
   // The replayed kEpochBegin continues the live epoch ordinal stream
-  // (0 for the formed epoch, 1 for the re-armed one) — no rewinds.
+  // (0 for the formed epoch, 1 for the restored one) — no rewinds.
   std::vector<std::int64_t> epoch_ordinals;
   for (const TraceEvent& e : recorder.events())
     if (e.kind == TraceEventKind::kEpochBegin) epoch_ordinals.push_back(e.value);
@@ -369,8 +377,8 @@ TEST(Snapshot, EngineRearmsStaleEpochWithoutRevocation) {
   EXPECT_EQ(engine.stats().epochs_rearmed, 0u);
 
   // Stale the epoch (one-shot execution between serving rounds), then
-  // serve again: the engine re-arms from the epoch snapshot instead of
-  // paying another announcement + tree formation.
+  // serve again: the engine restores the epoch from its snapshot instead
+  // of paying another announcement + tree formation.
   const auto one_shot = coordinator.run_min(default_readings(36));
   ASSERT_EQ(one_shot.kind, OutcomeKind::kResult);
 
@@ -401,12 +409,10 @@ TEST(Snapshot, EngineReformsAfterRevocation) {
   (void)engine.run_batch({query});
   ASSERT_EQ(engine.stats().epochs_formed, 1u);
 
-  // A revocation invalidates the formed tree: re-arming must refuse (the
-  // snapshot references a pre-revocation membership) and the engine falls
-  // back to a full prepare_epoch().
+  // A revocation invalidates the formed tree: the snapshot references a
+  // pre-revocation membership, so the engine's next epoch is formed.
   (void)net.revocation().revoke_sensor(NodeId{5});
   EXPECT_FALSE(coordinator.epoch_ready());
-  EXPECT_FALSE(coordinator.rearm_epoch());
 
   const auto after = engine.run_batch({query});
   ASSERT_EQ(after.size(), 1u);
