@@ -14,9 +14,8 @@
 // executions in every multi-trial harness).
 //
 // Determinism: each cell's execution outcome is folded into a 64-bit
-// digest and re-checked across VMAT execution thread counts {1, 4, hw}
-// and with the streaming fabric mode forced on and off; any mismatch
-// aborts the bench. Memory numbers are deterministic too (same allocation
+// digest and re-checked across VMAT execution thread counts {1, 4, hw};
+// any mismatch aborts the bench. Memory numbers are deterministic too (same allocation
 // sequence), so perf_compare gates bytes_per_node at a tight tolerance.
 #include <malloc.h>
 
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "core/coordinator.h"
-#include "sim/fabric.h"
 #include "trial_runner.h"
 #include "util/stats.h"
 
@@ -186,7 +184,7 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 
 /// Fold every outcome field that the protocol determines (not timing) into
 /// one 64-bit value. Used to assert bit-identical behavior across thread
-/// counts and fabric memory modes.
+/// counts.
 std::uint64_t outcome_digest(const vmat::ExecutionOutcome& out) {
   std::uint64_t h = 0x564d4154u;  // "VMAT"
   h = mix(h, static_cast<std::uint64_t>(out.kind));
@@ -211,11 +209,9 @@ struct CellRun {
 
 /// One full clean execution at `n` on `topo`, with heap accounting over
 /// [Network construction .. run_min returns].
-CellRun run_cell(const vmat::Topology& topo, std::uint32_t n,
-                 vmat::MemoryMode mode = vmat::MemoryMode::kAuto) {
+CellRun run_cell(const vmat::Topology& topo, std::uint32_t n) {
   CellRun run;
-  auto cfg = bench_keys(n);
-  cfg.memory_mode = mode;
+  const auto cfg = bench_keys(n);
   const std::uint64_t live_before = membench::live();
   membench::reset_peak();
   vmat::Network net(topo, cfg);
@@ -255,8 +251,8 @@ std::uint64_t digest_at_threads(const vmat::Topology& topo, std::uint32_t n,
 constexpr double kPreDietBytesPerNodeN8000 = 3129.05;
 
 /// VMAT_BENCH_ACCEPT=1: the PR's acceptance gate. Clean n=8000 must come
-/// in at >= 5x fewer heap bytes per node than the pre-diet measurement,
-/// with the digest unchanged across memory modes. Non-zero exit on a miss.
+/// in at >= 5x fewer heap bytes per node than the pre-diet measurement.
+/// Non-zero exit on a miss.
 int run_acceptance_gate() {
   constexpr std::uint32_t n = 8000;
   double pre_diet = kPreDietBytesPerNodeN8000;
@@ -268,19 +264,14 @@ int run_acceptance_gate() {
   auto topo = vmat::Topology::random_geometric(n, radius, 7);
   topo.shed_adjacency();
 
-  const CellRun resident = run_cell(topo, n, vmat::MemoryMode::kResident);
-  const CellRun streaming = run_cell(topo, n, vmat::MemoryMode::kStreaming);
-  const bool digests_ok = resident.digest == streaming.digest;
-  std::printf("  mode digests:  %016llx / %016llx  %s\n",
-              static_cast<unsigned long long>(resident.digest),
-              static_cast<unsigned long long>(streaming.digest),
-              digests_ok ? "PASS" : "FAIL");
-  const double bpn = static_cast<double>(resident.peak_bytes) / n;
+  const CellRun cell = run_cell(topo, n);
+  std::printf("  digest:        %016llx\n",
+              static_cast<unsigned long long>(cell.digest));
+  const double bpn = static_cast<double>(cell.peak_bytes) / n;
   const double reduction = pre_diet / bpn;
-  const bool diet_ok = reduction >= 5.0;
+  const bool ok = reduction >= 5.0;
   std::printf("  bytes/node:    %.0f, %.2fx vs pre-diet (need >= 5.00x)  %s\n",
-              bpn, reduction, diet_ok ? "PASS" : "FAIL");
-  const bool ok = digests_ok && diet_ok;
+              bpn, reduction, ok ? "PASS" : "FAIL");
   std::printf("MEMORY acceptance gate: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
@@ -310,8 +301,7 @@ int main() {
   // uncontended timing, so every cell runs on a dedicated serial pool.
   vmat::ThreadPool serial(1);
 
-  vmat::TablePrinter table({"n", "bytes/node", "resident", "streaming",
-                            "peak MB", "topo B/node", "exec ms", "digest"});
+  vmat::TablePrinter table({"n", "bytes/node", "peak MB", "topo B/node", "exec ms", "digest"});
   for (const std::uint32_t n : sizes) {
     const double radius = vmat::Topology::connected_radius(n);
     const std::uint64_t live_before_topo = membench::live();
@@ -346,32 +336,12 @@ int main() {
       }
     }
 
-    // ... and with the streaming fabric mode forced on and off (the
-    // measured cell ran kAuto). Keeps both runs' bytes/node so the table
-    // shows what the mode is worth at this n.
-    const CellRun resident = run_cell(topo, n, vmat::MemoryMode::kResident);
-    const CellRun streaming = run_cell(topo, n, vmat::MemoryMode::kStreaming);
-    for (const CellRun* forced : {&resident, &streaming}) {
-      if (forced->digest != measured.digest) {
-        std::fprintf(stderr,
-                     "bench_memory: digest mismatch at n=%u between memory "
-                     "modes (%016llx vs %016llx)\n",
-                     n, static_cast<unsigned long long>(forced->digest),
-                     static_cast<unsigned long long>(measured.digest));
-        return 1;
-      }
-    }
-
     const double bytes_per_node =
         static_cast<double>(measured.peak_bytes) / n;
     const double topo_per_node = static_cast<double>(topo_bytes) / n;
     group.metric("bytes_per_node", bytes_per_node);
     group.metric("peak_mb", static_cast<double>(measured.peak_bytes) / 1e6);
     group.metric("topo_bytes_per_node", topo_per_node);
-    group.metric("bytes_per_node_resident",
-                 static_cast<double>(resident.peak_bytes) / n);
-    group.metric("bytes_per_node_streaming",
-                 static_cast<double>(streaming.peak_bytes) / n);
     group.metric("exec_ms_min", measured.exec_ms);
     // Digest split into two 32-bit halves: every metric is a double, and
     // 32-bit integers round-trip exactly.
@@ -383,10 +353,6 @@ int main() {
     std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
                   static_cast<unsigned long long>(measured.digest));
     table.add_row({std::to_string(n), vmat::TablePrinter::fmt(bytes_per_node, 0),
-                   vmat::TablePrinter::fmt(
-                       static_cast<double>(resident.peak_bytes) / n, 0),
-                   vmat::TablePrinter::fmt(
-                       static_cast<double>(streaming.peak_bytes) / n, 0),
                    vmat::TablePrinter::fmt(measured.peak_bytes / 1e6, 1),
                    vmat::TablePrinter::fmt(topo_per_node, 0),
                    vmat::TablePrinter::fmt(measured.exec_ms, 1), digest_hex});

@@ -54,7 +54,7 @@ class SynopsisCodec {
 
   /// The full per-participant instance row: out[i] = value_for(origin, i,
   /// weight) for i in [0, out.size()), at one PRG digest per kLanes
-  /// instances. This is the hot path of run_synopsis_query.
+  /// instances. This is the hot path of the query codec's grid fill.
   void fill_values(NodeId origin, std::int64_t weight,
                    std::span<Reading> out) const noexcept;
 

@@ -1,27 +1,10 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
-#include <string>
-
-#include "core/synopsis.h"
 
 namespace vmat {
 namespace {
-
-/// One instance block of a combined execution: the slice of the global
-/// instance space [offset, offset + instances) owned by one query part.
-struct Block {
-  std::size_t pending_index{0};
-  bool count_part{false};  ///< kAverage's COUNT block (part 1)
-  bool synopsis{true};     ///< synopsis block vs exact-MIN block
-  std::uint32_t offset{0};
-  std::uint32_t instances{0};
-  std::uint64_t nonce{0};               ///< synopsis query nonce
-  std::vector<std::int64_t> weights;    ///< per-node weight (synopsis)
-  std::vector<Reading> readings;        ///< per-node reading (exact MIN)
-};
 
 void add_metrics(ExecutionMetrics& into, const ExecutionMetrics& from) {
   for (std::size_t p = 0; p < kTracePhaseCount; ++p)
@@ -29,18 +12,6 @@ void add_metrics(ExecutionMetrics& into, const ExecutionMetrics& from) {
 }
 
 }  // namespace
-
-const char* to_string(EngineQueryKind kind) noexcept {
-  switch (kind) {
-    case EngineQueryKind::kCount: return "count";
-    case EngineQueryKind::kSum: return "sum";
-    case EngineQueryKind::kAverage: return "average";
-    case EngineQueryKind::kMin: return "min";
-    case EngineQueryKind::kMax: return "max";
-    case EngineQueryKind::kQuantile: return "quantile";
-  }
-  return "?";
-}
 
 Engine::Engine(VmatCoordinator* coordinator, EngineConfig config,
                ThreadPool* pool)
@@ -57,38 +28,9 @@ Engine::Engine(VmatCoordinator* coordinator, EngineConfig config,
 }
 
 Expected<std::uint64_t> Engine::submit(EngineQuery query) {
-  const std::size_t n = coordinator_->network().node_count();
-  auto invalid = [](std::string message) -> Error {
-    return {ErrorCode::kInvalidArgument, std::move(message)};
-  };
-  switch (query.kind) {
-    case EngineQueryKind::kCount:
-      if (query.predicate.size() != n)
-        return invalid("count: predicate must cover all nodes");
-      break;
-    case EngineQueryKind::kSum:
-    case EngineQueryKind::kAverage:
-      if (query.readings.size() != n)
-        return invalid("sum/average: readings must cover all nodes");
-      for (std::int64_t r : query.readings)
-        if (r < 0) return invalid("sum/average: negative reading");
-      break;
-    case EngineQueryKind::kMin:
-    case EngineQueryKind::kMax:
-      if (query.raw.size() != n)
-        return invalid("min/max: readings must cover all nodes");
-      break;
-    case EngineQueryKind::kQuantile:
-      if (query.readings.size() != n)
-        return invalid("quantile: readings must cover all nodes");
-      if (!(query.q > 0.0 && query.q < 1.0))
-        return invalid("quantile: require 0 < q < 1");
-      if (query.domain_max < 0) return invalid("quantile: negative domain");
-      for (std::int64_t r : query.readings)
-        if (r < 0 || r > query.domain_max)
-          return invalid("quantile: reading outside domain");
-      break;
-  }
+  if (Status ok = check_query(query, coordinator_->network().node_count());
+      !ok)
+    return ok.error();
   if (pending_.size() >= config_.queue_depth)
     return Error{ErrorCode::kQueueFull,
                  "Engine: queue_depth reached — drain() first"};
@@ -104,9 +46,9 @@ Expected<std::uint64_t> Engine::submit(EngineQuery query) {
   return pending_.back().id;
 }
 
-void Engine::settle_failure(Pending& p, ErrorCode code, const char* detail) {
+void Engine::settle_failure(Pending& p, Error error) {
   p.done = true;
-  p.result.error = Error{code, detail};
+  p.result.error = std::move(error);
   stats_.queries_failed += 1;
 }
 
@@ -141,8 +83,8 @@ bool Engine::step() {
     // vmatd tick loop) must not spin forever on a pathological tenant.
     for (Pending& p : pending_)
       if (!p.done)
-        settle_failure(p, ErrorCode::kBudgetExhausted,
-                       "engine round budget exhausted");
+        settle_failure(p, {ErrorCode::kBudgetExhausted,
+                         "engine round budget exhausted"});
     return false;
   }
   run_round();
@@ -172,139 +114,49 @@ void Engine::run_round() {
   stats_.rounds += 1;
   prepare();
 
-  const std::size_t n = coordinator_->network().node_count();
   const std::uint32_t default_instances = coordinator_->config().instances;
 
   // --- pack: queries in submission order, up to the admission window and
   // the execution width cap; nonces are drawn serially here, before any
   // parallel work, so packing order fully determines every PRG stream ---
-  std::vector<Block> blocks;
+  std::vector<QueryBlock> blocks;
+  std::vector<std::size_t> owners;  // pending_ index of each block
   std::vector<std::size_t> picked;
   std::uint32_t total = 0;
   for (std::size_t qi = 0;
        qi < pending_.size() && picked.size() < stats_.window; ++qi) {
     Pending& p = pending_[qi];
     if (p.done) continue;
-    const std::uint32_t m =
-        p.query.instances > 0 ? p.query.instances : default_instances;
-
-    std::vector<Block> mine;
-    mine.reserve(2);  // kAverage emits two blocks; pointers must stay valid
-    auto synopsis_block = [&mine, qi, n](std::uint32_t instances,
-                                         bool count_part) {
-      Block b;
-      b.pending_index = qi;
-      b.count_part = count_part;
-      b.instances = instances;
-      b.weights.assign(n, 0);
-      mine.push_back(std::move(b));
-      return &mine.back();
-    };
-    switch (p.query.kind) {
-      case EngineQueryKind::kCount: {
-        Block* b = synopsis_block(m, false);
-        for (std::size_t id = 1; id < n; ++id)
-          b->weights[id] = p.query.predicate[id] ? 1 : 0;
-        break;
-      }
-      case EngineQueryKind::kSum: {
-        Block* b = synopsis_block(m, false);
-        for (std::size_t id = 1; id < n; ++id)
-          b->weights[id] = p.query.readings[id];
-        break;
-      }
-      case EngineQueryKind::kAverage: {
-        Block* s = synopsis_block(m, false);
-        for (std::size_t id = 1; id < n; ++id)
-          s->weights[id] = p.query.readings[id];
-        Block* c = synopsis_block(m, true);
-        for (std::size_t id = 1; id < n; ++id)
-          c->weights[id] = p.query.readings[id] > 0 ? 1 : 0;
-        break;
-      }
-      case EngineQueryKind::kQuantile: {
-        const std::int64_t probe =
-            p.phase == 0 ? p.query.domain_max : p.lo + (p.hi - p.lo) / 2;
-        Block* b = synopsis_block(m, false);
-        for (std::size_t id = 1; id < n; ++id)
-          b->weights[id] = p.query.readings[id] <= probe ? 1 : 0;
-        break;
-      }
-      case EngineQueryKind::kMin:
-      case EngineQueryKind::kMax: {
-        Block b;
-        b.pending_index = qi;
-        b.synopsis = false;
-        b.instances = 1;
-        b.readings.assign(n, kInfinity);
-        const bool negate = p.query.kind == EngineQueryKind::kMax;
-        for (std::size_t id = 1; id < n; ++id)
-          b.readings[id] = negate ? -p.query.raw[id] : p.query.raw[id];
-        mine.push_back(std::move(b));
-        break;
-      }
-    }
-
+    std::vector<QueryBlock> mine = encode_query(
+        p.query, p.progress, block_width(p.query, default_instances));
     std::uint32_t width = 0;
-    for (const Block& b : mine) width += b.instances;
+    for (const QueryBlock& b : mine) width += b.width;
     if (!picked.empty() && total + width > config_.max_instances_per_execution)
       break;
-    for (Block& b : mine) {
+    for (QueryBlock& b : mine) {
       b.offset = total;
-      total += b.instances;
+      total += b.width;
       if (b.synopsis) b.nonce = coordinator_->fresh_nonce();
       blocks.push_back(std::move(b));
+      owners.push_back(qi);
     }
     picked.push_back(qi);
   }
   if (picked.empty()) return;
 
-  // --- grids: per-block synopsis rows in parallel. Blocks own disjoint
-  // columns, so the writes never overlap; each PRG stream depends only on
-  // the block's serially assigned nonce — bit-identical for any pool ---
-  std::vector<std::optional<SynopsisCodec>> codecs(blocks.size());
-  for (std::size_t bi = 0; bi < blocks.size(); ++bi)
-    if (blocks[bi].synopsis) codecs[bi].emplace(blocks[bi].nonce);
-
-  const auto nodes = static_cast<std::uint32_t>(n);
+  // --- grids: per-block columns in parallel. Blocks own disjoint columns,
+  // so the writes never overlap; each PRG stream depends only on the
+  // block's serially assigned nonce — bit-identical for any pool ---
+  const auto nodes =
+      static_cast<std::uint32_t>(coordinator_->network().node_count());
   ValueTable values(nodes, total, kInfinity);
   ValueTable weights(nodes, total, 0);
-  pool_->for_each(
-      blocks.size(),
-      [&blocks, &codecs, &values, &weights, nodes](std::size_t bi) {
-        const Block& b = blocks[bi];
-        if (!b.synopsis) {
-          for (std::uint32_t id = 1; id < nodes; ++id)
-            values.row(id)[b.offset] = b.readings[id];
-          return;
-        }
-        const SynopsisCodec& codec = *codecs[bi];
-        for (std::uint32_t id = 1; id < nodes; ++id) {
-          const std::int64_t w = b.weights[id];
-          if (w <= 0) continue;
-          codec.fill_values(NodeId{id}, w,
-                            values.row(id).subspan(b.offset, b.instances));
-          std::ranges::fill(weights.row(id).subspan(b.offset, b.instances), w);
-        }
-      });
-
-  // --- combined validator: dispatch on the block owning the instance ---
-  std::vector<std::uint32_t> ends(blocks.size());
-  for (std::size_t bi = 0; bi < blocks.size(); ++bi)
-    ends[bi] = blocks[bi].offset + blocks[bi].instances;
-  auto validate = [&blocks, &codecs, &ends, total](const AggMessage& m) {
-    if (m.instance >= total) return false;
-    const std::size_t bi = static_cast<std::size_t>(
-        std::upper_bound(ends.begin(), ends.end(), m.instance) - ends.begin());
-    const Block& b = blocks[bi];
-    if (!b.synopsis) return m.weight == 0;
-    return m.weight > 0 &&
-           codecs[bi]->value_for(m.origin, m.instance - b.offset, m.weight) ==
-               m.value;
-  };
+  pool_->for_each(blocks.size(), [&blocks, &values, &weights](std::size_t bi) {
+    fill_block(blocks[bi], values, weights);
+  });
 
   const ExecutionOutcome exec =
-      coordinator_->run_query(values, weights, validate);
+      coordinator_->run_query(values, weights, block_validator(blocks));
 
   stats_.executions += 1;
   stats_.fabric_bytes += exec.fabric_bytes;
@@ -328,85 +180,35 @@ void Engine::run_round() {
     for (std::size_t qi : picked) {
       Pending& p = pending_[qi];
       if (p.executions >= p.deadline)
-        settle_failure(p, ErrorCode::kDeadlineExceeded,
-                       "execution budget exhausted before an answer");
+        settle_failure(p, {ErrorCode::kDeadlineExceeded,
+                         "execution budget exhausted before an answer"});
     }
     return;
   }
   stats_.backoff = 0;
   stats_.window = std::min(stats_.window * 2, config_.max_in_flight);
 
-  for (const Block& b : blocks) {
-    Pending& p = pending_[b.pending_index];
-    const auto minima =
-        std::span<const Reading>(exec.minima).subspan(b.offset, b.instances);
-    if (!b.synopsis) {
-      // Exact MIN/MAX: instance 0 of the block carries the answer.
-      if (minima[0] == kInfinity) {
-        settle_failure(p, ErrorCode::kUnavailable,
-                       "min/max: no reading arrived");
-        continue;
-      }
-      const double v = static_cast<double>(minima[0]);
-      p.result.estimate = p.query.kind == EngineQueryKind::kMax ? -v : v;
-      p.done = true;
-      stats_.queries_answered += 1;
-      rollup.queries_served += 1;
+  for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
+    Pending& p = pending_[owners[bi]];
+    const std::optional<QueryAnswer> answer =
+        decode_block(p.query, blocks[bi], exec.minima, p.progress);
+    if (!answer) continue;
+    if (!*answer) {
+      settle_failure(p, answer->error());
       continue;
     }
-    const double estimate = estimate_sum(minima);
-    switch (p.query.kind) {
-      case EngineQueryKind::kCount:
-      case EngineQueryKind::kSum:
-        p.result.estimate = estimate;
-        p.done = true;
-        stats_.queries_answered += 1;
-        break;
-      case EngineQueryKind::kAverage:
-        if (!b.count_part) {
-          p.sum_estimate = estimate;
-        } else {
-          // Both blocks rode this execution; the SUM part settled first.
-          p.result.estimate =
-              estimate <= 0.0 ? 0.0 : *p.sum_estimate / estimate;
-          p.done = true;
-          stats_.queries_answered += 1;
-        }
-        break;
-      case EngineQueryKind::kQuantile:
-        if (p.phase == 0) {
-          if (estimate <= 0.0) {
-            // Empty population: report the bottom of the domain.
-            p.result.estimate = 0.0;
-            p.done = true;
-            stats_.queries_answered += 1;
-            break;
-          }
-          p.target = p.query.q * estimate;
-          p.lo = 0;
-          p.hi = p.query.domain_max;
-          p.phase = 1;
-        } else {
-          const std::int64_t mid = p.lo + (p.hi - p.lo) / 2;
-          if (estimate >= p.target)
-            p.hi = mid;
-          else
-            p.lo = mid + 1;
-        }
-        if (p.phase == 1 && p.lo >= p.hi) {
-          p.result.estimate = static_cast<double>(p.lo);
-          p.done = true;
-          stats_.queries_answered += 1;
-        } else if (p.executions >= p.deadline) {
-          settle_failure(p, ErrorCode::kDeadlineExceeded,
-                         "quantile search unfinished within budget");
-        }
-        break;
-      case EngineQueryKind::kMin:
-      case EngineQueryKind::kMax:
-        break;  // handled above (exact block)
-    }
-    if (p.done) rollup.queries_served += 1;
+    p.result.estimate = **answer;
+    p.done = true;
+    stats_.queries_answered += 1;
+    rollup.queries_served += 1;
+  }
+  // A quantile search still open after its probe burns budget like a
+  // disruption does.
+  for (std::size_t qi : picked) {
+    Pending& p = pending_[qi];
+    if (!p.done && p.executions >= p.deadline)
+      settle_failure(p, {ErrorCode::kDeadlineExceeded,
+                       "quantile search unfinished within budget"});
   }
 }
 

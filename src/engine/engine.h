@@ -1,19 +1,21 @@
-// Epoch-batched query serving engine — the multi-query layer above
-// VmatCoordinator/QueryEngine.
+// Epoch-batched query serving engine: the multi-query driver of the query
+// codec (core/query.h).
 //
-// QueryEngine runs one query per VMAT execution, and every execution pays
-// for an authenticated announcement plus a full tree formation. The Engine
-// amortizes that: queries are submitted into a queue, and each serving
-// round packs up to max_in_flight of them into ONE wide run_query() over
-// the current *epoch* — a tree formed once by prepare_epoch() and shared
-// until a revocation (or rekey) invalidates it. An epoch that only went
-// stale (a one-shot execution or a fork ran in between) comes back from
-// its snapshot instead of being re-formed. The combined execution's
-// instance space is the concatenation of per-query blocks; every synopsis
-// block keeps its own query nonce and SynopsisCodec, so each query's
-// synopses are exactly what a standalone execution would use and the
-// per-execution security argument (Theorem 2 / Theorem 7) is unchanged —
-// only the formation cost is shared.
+// QueryEngine, the one-shot driver, runs one query per VMAT execution, and
+// every execution pays for an authenticated announcement plus a full tree
+// formation. The Engine amortizes that: queries are submitted into a
+// queue, and each serving round packs up to max_in_flight of them into ONE
+// wide run_query() over the current *epoch* — a tree formed once by
+// prepare_epoch() and shared until a revocation (or rekey) invalidates it.
+// An epoch that only went stale (a one-shot execution or a fork ran in
+// between) comes back from its snapshot instead of being re-formed. The
+// combined execution's instance space is the concatenation of the packed
+// queries' blocks, encoded, filled, validated and decoded by the same codec
+// calls QueryEngine makes; every synopsis block keeps its own query nonce,
+// so each query's synopses are exactly what a standalone execution would
+// use and the per-execution security argument (Theorem 2 / Theorem 7) is
+// unchanged — only the formation cost is shared. The Engine itself owns
+// packing, admission, backoff and epochs.
 //
 // Disruption handling is the Theorem 7 retry loop: a disrupted execution
 // revokes adversary key material, invalidates the epoch, and leaves the
@@ -40,38 +42,6 @@
 #include "util/parallel.h"
 
 namespace vmat {
-
-enum class EngineQueryKind : std::uint8_t {
-  kCount,     ///< predicate COUNT via exponential synopses
-  kSum,       ///< SUM of non-negative readings via synopses
-  kAverage,   ///< SUM / COUNT(reading > 0); both blocks ride one execution
-  kMin,       ///< exact MIN of raw readings (one instance)
-  kMax,       ///< exact MAX via MIN over negated readings
-  kQuantile,  ///< q-quantile via a binary search of COUNT probes
-};
-
-[[nodiscard]] const char* to_string(EngineQueryKind kind) noexcept;
-
-/// One query submitted to the engine. Payload vectors are indexed by node
-/// id (entry 0, the base station, is ignored) and must cover every node.
-struct EngineQuery {
-  EngineQueryKind kind{EngineQueryKind::kCount};
-  /// kCount: predicate[id] != 0 means node id satisfies the predicate.
-  std::vector<std::uint8_t> predicate;
-  /// kSum / kAverage / kQuantile: non-negative integer readings.
-  std::vector<std::int64_t> readings;
-  /// kMin / kMax: raw readings.
-  std::vector<Reading> raw;
-  /// kQuantile: the quantile in (0, 1) and the reading domain [0, max].
-  double q{0.5};
-  std::int64_t domain_max{0};
-  /// Synopsis instances for this query; 0 = the coordinator's configured
-  /// count. Ignored by kMin/kMax (always 1 instance).
-  std::uint32_t instances{0};
-  /// Execution budget (deadline): the query fails with kDeadlineExceeded
-  /// after participating in this many executions. 0 = EngineConfig default.
-  int max_executions{0};
-};
 
 struct EngineResult {
   std::uint64_t id{0};
@@ -212,20 +182,13 @@ class Engine {
     int deadline{0};
     bool done{false};
     EngineResult result;
-    // kQuantile search state: phase 0 probes the total population, phase 1
-    // binary-searches [lo, hi] for the target rank.
-    int phase{0};
-    double target{0.0};
-    std::int64_t lo{0};
-    std::int64_t hi{0};
-    // kAverage: the SUM block's estimate, set when the round resolves.
-    std::optional<double> sum_estimate;
+    QueryProgress progress;
   };
 
   /// One serving round: ensure an epoch, pack up to the admission window,
   /// run one combined execution, settle the packed queries.
   void run_round();
-  void settle_failure(Pending& p, ErrorCode code, const char* detail);
+  void settle_failure(Pending& p, Error error);
 
   VmatCoordinator* coordinator_;
   EngineConfig config_;

@@ -39,13 +39,6 @@ void SlotArena::reset() noexcept {
   used_ = 0;
 }
 
-void SlotArena::release() noexcept {
-  chunks_.clear();
-  chunks_.shrink_to_fit();
-  active_ = 0;
-  used_ = 0;
-}
-
 std::size_t SlotArena::capacity() const noexcept {
   std::size_t total = 0;
   for (const Chunk& chunk : chunks_) total += chunk.size;
@@ -141,17 +134,9 @@ void Fabric::end_slot() {
     inbox_end_[id] = running;
     sort_pos_[id] = inbox_begin_[id];
   }
-  // Streaming mode retires the closing delivery slot's frame-table slack
-  // before the sort refills it: capacity tracks the current slot instead
-  // of the biggest slot ever seen.
-  if (streaming_) {
-    delivered_.clear();
-    delivered_.shrink_to_fit();
-  }
   delivered_.resize(staged_.size());
   for (const Frame& f : staged_) delivered_[sort_pos_[f.to.value]++] = f;
   staged_.clear();
-  if (streaming_) staged_.shrink_to_fit();
 
   // Per-receiver delivery accounting, in receiver order (the order the old
   // per-node inbox walk used).
@@ -167,13 +152,8 @@ void Fabric::end_slot() {
   // Rotate arenas: this slot's collection arena now backs the open delivery
   // slot; the previous delivery arena is rewound and starts collecting.
   // Undrained frames from the previous slot die here with their arena.
-  // Streaming mode frees the retiring arena's chunks outright instead of
-  // keeping their capacity parked for the rest of the run.
   collect_ ^= 1;
-  if (streaming_)
-    arenas_[collect_].release();
-  else
-    arenas_[collect_].reset();
+  arenas_[collect_].reset();
 }
 
 std::span<const Frame> Fabric::take_inbox(NodeId node) {
@@ -191,15 +171,8 @@ void Fabric::reset() {
   std::fill(inbox_begin_.begin(), inbox_begin_.end(), 0);
   std::fill(inbox_end_.begin(), inbox_end_.end(), 0);
   std::fill(sent_this_slot_.begin(), sent_this_slot_.end(), 0);
-  if (streaming_) {
-    staged_.shrink_to_fit();
-    delivered_.shrink_to_fit();
-    arenas_[0].release();
-    arenas_[1].release();
-  } else {
-    arenas_[0].reset();
-    arenas_[1].reset();
-  }
+  arenas_[0].reset();
+  arenas_[1].reset();
   collect_ = 0;
 }
 

@@ -76,22 +76,6 @@ struct Frame {
 /// KB figures, table_comm_cost) derives from.
 inline constexpr std::size_t kFrameOverheadBytes = 20;
 
-/// Fabric allocation policy. Resident (the historical behavior) keeps every
-/// arena chunk and frame-table capacity for the life of the run — fastest,
-/// but the high-water mark of the biggest slot stays resident forever.
-/// Streaming retires a slot's payload chunks and frame-table slack as soon
-/// as the slot closes, trading per-slot reallocation for a resident
-/// footprint that tracks the *current* slot instead of the historical
-/// maximum. Purely an allocation policy: frames, delivery order, digests,
-/// and trace streams are bit-identical in both modes, so the mode is not
-/// part of the deployment fingerprint and snapshots restore across modes.
-enum class MemoryMode : std::uint8_t { kAuto, kResident, kStreaming };
-
-/// kAuto resolves to streaming at or above this many nodes: below it the
-/// retained arenas are small change; above it they are the difference
-/// between n=250k fitting comfortably and not.
-inline constexpr std::uint32_t kStreamingAutoThreshold = 50000;
-
 /// Reporting convention: 1 KB = 1000 bytes (decimal, not KiB), everywhere.
 inline constexpr double kBytesPerKb = 1000.0;
 
@@ -115,10 +99,6 @@ class SlotArena {
 
   /// Rewind to empty, keeping every chunk's capacity.
   void reset() noexcept;
-
-  /// Rewind to empty and free every chunk (streaming mode's per-slot
-  /// retirement; the next store() starts growing from scratch).
-  void release() noexcept;
 
   [[nodiscard]] std::size_t capacity() const noexcept;
   [[nodiscard]] std::size_t used() const noexcept { return used_; }
@@ -152,12 +132,6 @@ class Fabric {
   /// Attach (or detach, with a default-constructed handle) the flight
   /// recorder: send/deliver/drop/loss events and per-phase byte counters.
   void set_tracer(Tracer tracer) noexcept { tracer_ = tracer; }
-
-  /// Switch the streaming allocation policy on or off (see MemoryMode).
-  /// Takes effect at the next end_slot()/reset(); never changes behavior,
-  /// only where payload bytes live and for how long.
-  void set_streaming(bool on) noexcept { streaming_ = on; }
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
 
   /// Queue a frame for delivery this slot. Returns false (and drops the
   /// frame) if the sender exhausted its transmit budget, or the (from, to)
@@ -233,10 +207,6 @@ class Fabric {
   std::size_t capacity_per_slot_;
   // vmat-analyze: allow(snapshot-field-coverage) -- fingerprint-pinned
   double loss_probability_{0.0};
-  // Allocation policy only (bit-identical either way), so neither
-  // serialized nor fingerprinted: snapshots restore across modes.
-  // vmat-analyze: allow(snapshot-field-coverage) -- allocation policy
-  bool streaming_{false};
   std::uint64_t loss_rng_state_{0};
   std::uint64_t lost_{0};
   std::vector<std::size_t> sent_this_slot_;

@@ -44,10 +44,6 @@ Network::Network(Topology topology, const NetworkSpec& config)
   // Fabric construction compacted the topology, so the directed-edge id
   // space is fixed from here on.
   edge_key_slots_.resize(topology_.directed_edge_count());
-  fabric_.set_streaming(
-      config.memory_mode == MemoryMode::kStreaming ||
-      (config.memory_mode == MemoryMode::kAuto &&
-       topology_.node_count() >= kStreamingAutoThreshold));
 }
 
 std::size_t Network::rekey(const KeyMaterialSpec& fresh_keys) {

@@ -40,10 +40,6 @@ struct NetworkSpec {
   /// proper retransmissions if necessary". With loss p and redundancy k, a
   /// logical message is lost with probability p^k.
   std::uint32_t redundancy{1};
-  /// Fabric allocation policy (sim/fabric.h). kAuto resolves to streaming
-  /// at node counts >= kStreamingAutoThreshold, resident below. Purely an
-  /// allocation policy — results are bit-identical either way.
-  MemoryMode memory_mode{MemoryMode::kAuto};
 };
 
 class SimulationSpec;

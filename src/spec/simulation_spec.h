@@ -66,10 +66,6 @@ class SimulationSpec {
   SimulationSpec& loss(double probability) { loss_ = probability; return *this; }
   /// Blind copies per logical transmission (>= 1).
   SimulationSpec& redundancy(std::uint32_t copies) { redundancy_ = copies; return *this; }
-  /// Fabric allocation policy (sim/fabric.h): kAuto (default) turns the
-  /// streaming low-memory mode on from kStreamingAutoThreshold nodes up;
-  /// kResident / kStreaming force it. Bit-identical results either way.
-  SimulationSpec& memory_mode(MemoryMode mode) { memory_mode_ = mode; return *this; }
 
   // --- protocol ---
 
@@ -122,7 +118,6 @@ class SimulationSpec {
   [[nodiscard]] std::uint32_t revocation_threshold() const noexcept { return theta_; }
   [[nodiscard]] double loss() const noexcept { return loss_; }
   [[nodiscard]] std::uint32_t redundancy() const noexcept { return redundancy_; }
-  [[nodiscard]] MemoryMode memory_mode() const noexcept { return memory_mode_; }
   [[nodiscard]] Level depth_bound() const noexcept { return depth_bound_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   /// Effective instance count: instances_for(ε,δ) when accuracy() was
@@ -151,7 +146,6 @@ class SimulationSpec {
   std::size_t capacity_{std::numeric_limits<std::size_t>::max()};
   double loss_{0.0};
   std::uint32_t redundancy_{1};
-  MemoryMode memory_mode_{MemoryMode::kAuto};
   Level depth_bound_{0};
   TreeMode tree_mode_{TreeMode::kTimestamp};
   bool multipath_{false};

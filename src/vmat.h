@@ -1,19 +1,24 @@
 // Umbrella header: the full public API of the VMAT library.
 //
-// Quickstart — one SimulationSpec describes the whole deployment, and the
-// epoch-batched Engine serves query batches over shared tree formations
-// (see examples/quickstart.cpp and examples/vmatsim.cpp --serve):
+// Quickstart — one SimulationSpec describes the whole deployment; a query
+// (core/query.h: COUNT, SUM, AVERAGE, MIN, MAX, quantile) runs one-shot
+// through QueryEngine or in epoch-batched rounds through Engine, and both
+// encode, check and decode it with the same query codec (see
+// examples/quickstart.cpp and examples/vmatsim.cpp --serve):
 //
 //   vmat::SimulationSpec spec;
 //   spec.nodes(400).accuracy(0.1, 0.05).seed(1);
 //   vmat::Network net(spec);
 //   vmat::VmatCoordinator coordinator(&net, /*adversary=*/nullptr, spec);
 //
-//   // One-shot queries (one tree formation per execution):
+//   // One-shot queries (one tree formation per execution; retry a
+//   // disrupted one — each disruption revoked adversary keys):
 //   vmat::QueryEngine queries(&coordinator);
 //   auto outcome = queries.count(predicate_bits);
+//   if (!outcome.answered()) use(outcome.error->to_string());
 //
-//   // Batched serving (one tree formation per epoch, shared by a batch):
+//   // Batched serving (one tree formation per epoch, shared by a batch;
+//   // each query retries within its execution budget):
 //   vmat::Engine engine(&coordinator);
 //   auto results = engine.run_batch(std::move(batch));
 //
@@ -41,7 +46,6 @@
 #include "core/confirmation.h"       // IWYU pragma: export
 #include "core/coordinator.h"        // IWYU pragma: export
 #include "core/messages.h"           // IWYU pragma: export
-#include "core/monitor.h"            // IWYU pragma: export
 #include "core/pinpoint.h"           // IWYU pragma: export
 #include "core/predicate_test.h"     // IWYU pragma: export
 #include "core/query.h"              // IWYU pragma: export

@@ -8,6 +8,7 @@
 #include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "sim/network.h"
+#include "spec/simulation_spec.h"
 
 namespace vmat::testing {
 
@@ -77,6 +78,38 @@ inline bool revocations_sound(const Network& net,
   for (NodeId s : net.revocation().revoked_sensors_in_order())
     if (!malicious.contains(s)) return false;
   return true;
+}
+
+/// The small attacked deployment the exact-output pins run on: n=60 on
+/// sparse rings, θ=8, and three sensors running the `choke` preset — long
+/// enough runs pinpoint keys, fire θ, and revoke the base station's ring.
+struct ChokedField {
+  explicit ChokedField(std::uint32_t instances) : net(spec_for(instances)) {
+    SimulationSpec spec = spec_for(instances);
+    auto built = spec.build_adversary(net);
+    adversary = std::move(built.value());
+    spec.depth_bound(net.topology().depth(adversary->malicious()));
+    coordinator = std::make_unique<VmatCoordinator>(&net, adversary.get(), spec);
+  }
+
+  static SimulationSpec spec_for(std::uint32_t instances) {
+    SimulationSpec spec;
+    spec.nodes(60).key_pool(5000, 50).revocation_threshold(8).seed(5);
+    spec.instances(instances);
+    const campaign::NamedAttack& choke = *campaign::find_attack("choke");
+    spec.attack().compromised(3).placement_seed(9).policy(choke.policy).when(
+        choke.when);
+    return spec;
+  }
+
+  Network net;
+  std::unique_ptr<Adversary> adversary;
+  std::unique_ptr<VmatCoordinator> coordinator;
+};
+
+/// One step of the FNV-style fold the digest pins use.
+inline std::uint64_t fold(std::uint64_t digest, std::uint64_t value) {
+  return digest * 0x100000001b3ULL ^ value;
 }
 
 }  // namespace vmat::testing

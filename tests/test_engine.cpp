@@ -3,6 +3,7 @@
 // slow-start/backoff under a choking adversary, and admission control.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <type_traits>
@@ -86,6 +87,53 @@ TEST(Engine, BatchAnswersMatchQuerySemantics) {
   EXPECT_NEAR(*results[2].estimate, 10.0, 10.0 * 0.35);
   EXPECT_EQ(*results[3].estimate, 101.0);   // min of 100 + id over id >= 1
   EXPECT_EQ(*results[4].estimate, 135.0);   // max of 100 + id, id <= 35
+}
+
+TEST(Engine, BatchReproducesParentDigests) {
+  // One mixed batch of all six kinds, twice over, on the attacked field;
+  // the digest folds every result and the engine counters. Recorded before
+  // the query codec moved into one module.
+  testing::ChokedField field(16);
+  Engine engine(field.coordinator.get());
+  const std::uint32_t n = field.net.node_count();
+  std::vector<EngineQuery> batch;
+  for (int round = 0; round < 2; ++round)
+    for (const EngineQueryKind kind :
+         {EngineQueryKind::kCount, EngineQueryKind::kSum,
+          EngineQueryKind::kAverage, EngineQueryKind::kMin,
+          EngineQueryKind::kMax, EngineQueryKind::kQuantile}) {
+      EngineQuery q;
+      q.kind = kind;
+      q.predicate.assign(n, 0);
+      q.readings.assign(n, 0);
+      for (std::uint32_t id = 1; id < n; ++id) {
+        q.predicate[id] = id % 3 == 0 ? 1 : 0;
+        q.readings[id] = (id * 37) % 50;
+      }
+      q.raw = testing::default_readings(n);
+      q.domain_max = 63;
+      batch.push_back(std::move(q));
+    }
+
+  std::uint64_t digest = 0;
+  for (const EngineResult& r : engine.run_batch(std::move(batch))) {
+    digest = testing::fold(digest, r.id);
+    digest = testing::fold(digest, static_cast<std::uint64_t>(r.kind));
+    digest = testing::fold(
+        digest, r.answered() ? std::bit_cast<std::uint64_t>(*r.estimate)
+                             : 0x6e6f6e65u);
+    digest = testing::fold(
+        digest, r.error ? static_cast<std::uint64_t>(r.error->code) + 1 : 0);
+    digest = testing::fold(digest, static_cast<std::uint64_t>(r.executions));
+    digest = testing::fold(digest, r.epoch_id);
+  }
+  const EngineStats& stats = engine.stats();
+  for (const std::uint64_t counter :
+       {stats.rounds, stats.executions, stats.disrupted_executions,
+        stats.epochs_formed, stats.epochs_rearmed, stats.queries_answered,
+        stats.queries_failed, stats.fabric_bytes})
+    digest = testing::fold(digest, counter);
+  EXPECT_EQ(digest, 0x3e81fc091c06a71aULL);
 }
 
 TEST(Engine, WholeBatchSharesOneEpoch) {

@@ -2,9 +2,12 @@
 // anti-fabrication path, and the retry loop under attack.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "campaign/runner.h"
 #include "core/query.h"
+#include "engine/engine.h"
 #include "helpers.h"
 
 namespace vmat {
@@ -161,6 +164,43 @@ TEST(Query, MinAndMaxReadings) {
   EXPECT_EQ(*mx.estimate, static_cast<double>(hi));
 }
 
+TEST(Query, MinWithNoReadingIsUnavailableNotDisrupted) {
+  // Every sensor reports kInfinity, so the execution produces a result with
+  // no reading in it: that is no data (the Engine's kUnavailable for the
+  // same case), not a disruption.
+  QueryFixture fx(4);
+  const auto out = fx.queries->min_reading(std::vector<Reading>(36, kInfinity));
+  ASSERT_TRUE(out.exec.produced_result());
+  EXPECT_FALSE(out.answered());
+  ASSERT_TRUE(out.error.has_value());
+  EXPECT_EQ(out.error->code, ErrorCode::kUnavailable);
+  EXPECT_EQ(out.error->message, "min/max: no reading arrived");
+
+  EngineQuery query;
+  query.kind = EngineQueryKind::kMin;
+  query.raw.assign(36, kInfinity);
+  Engine engine(fx.coordinator.get());
+  const auto results = engine.run_batch({query});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].error, out.error);
+}
+
+TEST(Query, DisruptedOutcomeCarriesTheExecutionReason) {
+  Network net(Topology::grid(6, 6), dense_keys());
+  Adversary adv(&net, {NodeId{8}},
+                campaign::make_named_strategy("junk", LiePolicy::kDenyAll));
+  CoordinatorSpec cfg;
+  cfg.instances = 4;
+  cfg.depth_bound = net.topology().depth({NodeId{8}});
+  VmatCoordinator coordinator(&net, &adv, cfg);
+  QueryEngine queries(&coordinator);
+  const auto out = queries.min_reading(testing::default_readings(36));
+  ASSERT_FALSE(out.exec.produced_result());
+  ASSERT_TRUE(out.error.has_value());
+  EXPECT_EQ(out.error->code, ErrorCode::kDisrupted);
+  EXPECT_EQ(out.error->message, out.exec.reason);
+}
+
 TEST(Query, MaxUnderDropAttackIsNeverInflatedOrSilentlyLowered) {
   const auto topo = Topology::grid(5, 5);
   const auto malicious = choose_malicious(topo, 2, 4);
@@ -243,6 +283,39 @@ TEST(Query, MaliciousSelfReadingIsNotAnAttack) {
   const auto out = fx.queries->count(predicate);
   ASSERT_TRUE(out.answered());
   EXPECT_NEAR(*out.estimate, 10.0, 10 * 0.5);
+}
+
+TEST(Query, KindsReproduceParentDigests) {
+  // All six kinds, twice round, through one QueryEngine on the attacked
+  // field; the digest folds every outcome's execution and estimate bits.
+  // Recorded before the query codec moved into one module.
+  testing::ChokedField field(16);
+  QueryEngine queries(field.coordinator.get());
+  const std::uint32_t n = field.net.node_count();
+  std::vector<std::uint8_t> predicate(n, 0);
+  std::vector<std::int64_t> readings(n, 0);
+  for (std::uint32_t id = 1; id < n; ++id) {
+    predicate[id] = id % 3 == 0 ? 1 : 0;
+    readings[id] = (id * 37) % 50;
+  }
+  const auto raw = testing::default_readings(n);
+
+  std::uint64_t digest = 0;
+  auto add = [&digest](const QueryOutcome& out) {
+    digest = testing::fold(digest, campaign::outcome_digest(out.exec));
+    digest = testing::fold(
+        digest, out.answered() ? std::bit_cast<std::uint64_t>(*out.estimate)
+                               : 0x6e6f6e65u);
+  };
+  for (int round = 0; round < 2; ++round) {
+    add(queries.count(predicate));
+    add(queries.sum(readings));
+    add(queries.average(readings));
+    add(queries.min_reading(raw));
+    add(queries.max_reading(raw));
+    add(queries.quantile(readings, 0.5, 63));
+  }
+  EXPECT_EQ(digest, 0x7654c462b1ca95baULL);
 }
 
 }  // namespace

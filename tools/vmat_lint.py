@@ -9,14 +9,12 @@ checkable from source text, as named, individually suppressible rules:
                          trial_seed(). Raw std::mt19937 / rand() / &c.
                          outside src/util/random.* silently breaks the
                          bit-identical-across-thread-counts contract.
-  mac-verify-discarded   A MAC verification whose result is discarded is a
-                         message accepted without a verified MAC. The
-                         [[nodiscard]] attributes catch this at compile
-                         time; this rule catches it in un-compiled paths
-                         and fixture code.
   missing-nodiscard      Value-returning crypto/keys APIs must be
-                         [[nodiscard]] so the compiler enforces the rule
-                         above everywhere.
+                         [[nodiscard]], so a MAC verification whose result
+                         is discarded (a message accepted without a
+                         verified MAC) is a compile error under -Werror.
+                         The vmat_nodiscard_fixture ctest pins that on
+                         tools/fixtures/bad_discard.cpp.
   key-memcpy             Raw memcpy on key material outside src/crypto/
                          and src/util/bytes.* bypasses the canonical
                          encoders and the constant-pattern helpers.
@@ -278,49 +276,6 @@ def rule_determinism_rng(src: SourceFile, report) -> None:
         if RNG_RE.search(line):
             report(i, "raw RNG engine/source outside src/util/random.*; "
                       "draw from vmat::Rng seeded via trial_seed() instead")
-
-
-VERIFY_CALL_RE = re.compile(
-    r"^\s*(?:[A-Za-z_]\w*(?:\.|->|::))*"
-    r"(verify|verify_mac|verify_chain|compute|compute_mac|hmac_sha256|mac)"
-    r"\s*\(")
-STMT_END_RE = re.compile(r"[;{}]\s*$|^\s*$")
-CONTROL_TAIL_RE = re.compile(r"^\s*(if|while|for|else|switch|case|do)\b")
-
-
-def rule_mac_verify_discarded(src: SourceFile, report) -> None:
-    lines = src.code_lines
-    for i, line in enumerate(lines, start=1):
-        m = VERIFY_CALL_RE.match(line)
-        if not m:
-            continue
-        # MacBatch::compute() is a void mutator: its tags are consumed via
-        # macs() after the call, so a bare `batch.compute();` statement is
-        # the sanctioned usage, not a discarded check.
-        if re.search(r"(?i)batch", line[:m.start(1)]):
-            continue
-        # Must be the start of a statement: previous non-blank code line
-        # ends a statement/block, or opens a control body.
-        prev = ""
-        for j in range(i - 2, -1, -1):
-            if lines[j].strip():
-                prev = lines[j]
-                break
-        if prev and not (STMT_END_RE.search(prev)
-                         or (prev.rstrip().endswith(")")
-                             and CONTROL_TAIL_RE.match(prev))):
-            continue
-        # The whole statement must be just the call: find the call's
-        # closing paren (possibly lines below) and require `;` after it.
-        flat = "\n".join(lines[i - 1:min(i + 9, len(lines))])
-        open_pos = flat.index("(", flat.index(m.group(1)))
-        end = _balanced_span(flat, open_pos)
-        if end < 0:
-            continue
-        tail = flat[end:].lstrip()
-        if tail.startswith(";"):
-            report(i, f"result of {m.group(1)}() is discarded — every "
-                      "accepted message must have a *checked* MAC")
 
 
 DECL_RE = re.compile(
@@ -716,7 +671,6 @@ def rule_eager_ring_materialization(src: SourceFile, report) -> None:
 RULES = {
     "determinism-rng": rule_determinism_rng,
     "eager-ring-materialization": rule_eager_ring_materialization,
-    "mac-verify-discarded": rule_mac_verify_discarded,
     "missing-nodiscard": rule_missing_nodiscard,
     "key-memcpy": rule_key_memcpy,
     "threadpool-ref-capture": rule_threadpool_ref_capture,
