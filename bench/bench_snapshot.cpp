@@ -1,4 +1,4 @@
-// SNAPSHOT — copy-on-write fork bench: a Monte-Carlo fan-out of clean MIN
+// SNAPSHOT — fork bench: a Monte-Carlo fan-out of clean MIN
 // executions run twice, once from scratch (every trial builds its own
 // deployment and pays announcement + tree formation) and once forked from
 // one shared post-formation snapshot (every trial restores the captured

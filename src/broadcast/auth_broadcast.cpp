@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/snapshot.h"
-
 namespace vmat {
 
 SymmetricKey broadcast_key(const Digest& chain_element) noexcept {
@@ -36,28 +34,22 @@ SignedBroadcast AuthBroadcaster::sign(Bytes payload, Tracer tracer) {
 
 AuthReceiver::AuthReceiver(const Digest& anchor) : last_verified_(anchor) {}
 
-bool AuthReceiver::accept(const SignedBroadcast& b, Tracer tracer,
-                          NodeId self) {
-  const bool ok =
-      b.epoch > last_epoch_ &&
-      HashChain::verify(b.chain_element, b.epoch, last_verified_,
-                        last_epoch_) &&
-      verify_mac(broadcast_key(b.chain_element), b.payload, b.mac);
-  tracer.mac_verify(self, kNoKey, ok);
-  if (!ok) return false;
+bool AuthReceiver::verify(const SignedBroadcast& b) const {
+  return b.epoch > last_epoch_ &&
+         HashChain::verify(b.chain_element, b.epoch, last_verified_,
+                           last_epoch_) &&
+         verify_mac(broadcast_key(b.chain_element), b.payload, b.mac);
+}
+
+void AuthReceiver::advance(const SignedBroadcast& b) noexcept {
   last_verified_ = b.chain_element;
   last_epoch_ = b.epoch;
+}
+
+bool AuthReceiver::accept(const SignedBroadcast& b) {
+  if (!verify(b)) return false;
+  advance(b);
   return true;
-}
-
-void AuthReceiver::snapshot_save(SnapshotWriter& w) const {
-  w.pod(last_verified_);
-  w.pod(last_epoch_);
-}
-
-void AuthReceiver::snapshot_load(SnapshotReader& r) {
-  r.pod(last_verified_);
-  r.pod(last_epoch_);
 }
 
 }  // namespace vmat

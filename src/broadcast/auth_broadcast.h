@@ -25,9 +25,6 @@
 
 namespace vmat {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 /// A signed broadcast frame.
 struct SignedBroadcast {
   std::uint64_t epoch{0};
@@ -59,21 +56,20 @@ class AuthBroadcaster {
   std::uint64_t next_epoch_{1};  // epoch 0 is the anchor itself
 };
 
-/// Sensor side: verifies successive broadcasts against the anchor.
+/// Sensor side: verifies successive broadcasts against the anchor. A plain
+/// value (the verification cursor is its whole state), so a snapshot
+/// copies it as is.
 class AuthReceiver {
  public:
   explicit AuthReceiver(const Digest& anchor);
 
-  /// Accept iff the chain element verifies against the last verified
+  /// True iff the chain element verifies against the last verified
   /// element, the epoch is strictly newer, and the MAC checks out.
-  /// `self` identifies the receiving sensor in the trace stream.
-  [[nodiscard]] bool accept(const SignedBroadcast& b, Tracer tracer = {},
-                            NodeId self = {});
-
-  // --- snapshots (sim/snapshot.h): the verification cursor is the whole
-  // mutable state ---
-  void snapshot_save(SnapshotWriter& writer) const;
-  void snapshot_load(SnapshotReader& reader);
+  [[nodiscard]] bool verify(const SignedBroadcast& b) const;
+  /// Move the cursor to `b`, which verify() accepted.
+  void advance(const SignedBroadcast& b) noexcept;
+  /// verify(), then advance() on success.
+  [[nodiscard]] bool accept(const SignedBroadcast& b);
 
  private:
   Digest last_verified_;

@@ -65,16 +65,16 @@ struct SofRecord {
 ///    node is owned by exactly one shard, so appends are race-free under
 ///    the phase drivers' level-parallel sharding, and per-node chain order
 ///    equals arrival order regardless of thread count (in-memory pool
-///    layout varies with the shard plan; every observable iteration and
-///    the snapshot encoding are canonical per-node order).
+///    layout varies with the shard plan; every observable iteration is
+///    canonical per-node order).
 ///  - The SOF record is one optional pooled slot per node (at most one
 ///    veto per sensor per execution) — sparse, so a clean large-n run
 ///    stores zero SofRecords instead of n empty optionals.
 ///
 /// Per node the log keeps a 24 B chain-head entry plus a 4 B level; all
 /// record payloads are pooled. Appends for a given node must consistently
-/// pass that node's owning shard index; serial callers (tests, snapshot
-/// restore, the hop-count tree baseline) use shard 0.
+/// pass that node's owning shard index; serial callers (tests, the
+/// hop-count tree baseline) use shard 0.
 class AuditLog {
  public:
   AuditLog() = default;
@@ -185,8 +185,8 @@ class AuditLog {
       f(p.fwd[i].rec);
   }
 
-  /// Materialized per-node copies, in arrival order — snapshot encoding and
-  /// test assertions; cold paths only.
+  /// Materialized per-node copies, in arrival order — test assertions;
+  /// cold paths only.
   [[nodiscard]] std::vector<ReceivedRecord> received_of(NodeId node) const {
     std::vector<ReceivedRecord> out;
     for_each_received(node, [&](const ReceivedRecord& r) { out.push_back(r); });

@@ -1,7 +1,6 @@
 #include "core/coordinator.h"
 
 #include <stdexcept>
-#include <type_traits>
 
 #include "spec/simulation_spec.h"
 #include "util/random.h"
@@ -11,22 +10,6 @@ namespace {
 
 /// Enough hash-chain elements for long experiment campaigns.
 constexpr std::size_t kMaxBroadcasts = 1 << 16;
-
-// Snapshot section tags (layout skew detectors; see sim/snapshot.h).
-constexpr std::uint32_t kCoordSection = 0x434f4f52;  // "COOR"
-// The tree and audit sections moved to CSR/pooled layouts with the large-n
-// memory diet; their tags are versioned so a pre-diet snapshot is rejected
-// by the section check instead of misparsed.
-constexpr std::uint32_t kTreeSection = 0x54524532;   // "TRE2" (CSR parents)
-constexpr std::uint32_t kAuditSection = 0x41554432;  // "AUD2" (pooled audit)
-constexpr std::uint32_t kTraceSection = 0x54524143;  // "TRAC"
-
-// The snapshot encodes these wholesale as flat pods.
-static_assert(std::is_trivially_copyable_v<ParentLink>);
-static_assert(std::is_trivially_copyable_v<ReceivedRecord>);
-static_assert(std::is_trivially_copyable_v<ForwardRecord>);
-static_assert(std::is_trivially_copyable_v<VetoMsg>);
-static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
 /// Buffers the event stream of a capture prefix while forwarding it to the
 /// user's sink (if any) — so snapshot_after_formation()/prepare_epoch()
@@ -100,7 +83,8 @@ VmatCoordinator::VmatCoordinator(Network* net, Adversary* adversary,
       depth_bound_(config.depth_bound),
       nonce_state_(config.seed ^ 0x1234567890abcdefULL),
       audits_(net->node_count()),
-      broadcaster_(config.seed, kMaxBroadcasts) {
+      broadcaster_(config.seed, kMaxBroadcasts),
+      receiver_(broadcaster_.anchor()) {
   if (net == nullptr) throw std::invalid_argument("VmatCoordinator: null net");
   if (config.instances == 0)
     throw std::invalid_argument("VmatCoordinator: zero instances");
@@ -109,9 +93,6 @@ VmatCoordinator::VmatCoordinator(Network* net, Adversary* adversary,
     // depth of the physical topology.
     depth_bound_ = net_->physical_depth();
   }
-  receivers_.reserve(net_->node_count());
-  for (std::uint32_t id = 0; id < net_->node_count(); ++id)
-    receivers_.emplace_back(broadcaster_.anchor());
 }
 
 VmatCoordinator::VmatCoordinator(Network* net, Adversary* adversary,
@@ -138,13 +119,18 @@ void VmatCoordinator::set_recorder(FlightRecorder* recorder) {
 void VmatCoordinator::authenticated_broadcast(const Bytes& payload,
                                               int& rounds, Tracer tracer) {
   const SignedBroadcast b = broadcaster_.sign(payload, tracer);
+  // Every non-revoked sensor holds the same cursor, so one verification
+  // decides for all of them; each still meters its own verify.
+  const bool ok = receiver_.verify(b);
   std::uint64_t receivers = 0;
   for (std::uint32_t id = 1; id < net_->node_count(); ++id) {
     if (net_->revocation().is_sensor_revoked(NodeId{id})) continue;
-    if (!receivers_[id].accept(b, tracer, NodeId{id}))
+    tracer.mac_verify(NodeId{id}, kNoKey, ok);
+    if (!ok)
       throw std::logic_error("authenticated broadcast rejected by a sensor");
     ++receivers;
   }
+  if (receivers > 0) receiver_.advance(b);
   tracer.auth_broadcast(payload.size(), receivers);
   rounds += 1;
 }
@@ -289,7 +275,7 @@ const Epoch& VmatCoordinator::prepare_epoch() {
   epoch_.revoked_sensors = net_->revocation().revoked_sensors_in_order().size();
   epoch_.key_generation = net_->key_generation();
   epoch_stale_ = false;
-  epoch_snapshot_ = capture_snapshot(rounds, prefix);
+  epoch_snapshot_ = capture_snapshot(rounds, std::move(prefix));
   return epoch_;
 }
 
@@ -467,60 +453,22 @@ std::uint64_t VmatCoordinator::deployment_fingerprint() const {
 }
 
 Snapshot VmatCoordinator::capture_snapshot(
-    int rounds, const std::vector<TraceEvent>& prefix_events) const {
-  SnapshotWriter w;
-
-  w.section(kCoordSection);
-  w.pod(nonce_state_);
-  w.pod(broadcaster_.next_epoch());
-  w.pod(static_cast<std::uint64_t>(receivers_.size()));
-  for (const AuthReceiver& recv : receivers_) recv.snapshot_save(w);
-  w.pod(trace_state_.metrics);
-  w.pod(trace_state_.phase);
-  w.pod(trace_state_.slot);
-  w.pod(trace_state_.executions);
-  w.pod(trace_state_.epochs);
-
-  w.section(kTreeSection);
-  w.pod(tree_.session);
-  w.pod(tree_.mode);
-  w.pod(tree_.depth_bound);
-  w.vec_pod(tree_.level);
-  w.vec_pod(tree_.parents.offsets());
-  w.vec_pod(tree_.parents.links());
-
-  // Canonical per-node encoding regardless of the pooled in-memory layout
-  // (which varies with the shard plan): rows serialize in per-node arrival
-  // order, exactly as the pre-diet per-node vectors did.
-  w.section(kAuditSection);
-  w.pod(static_cast<std::uint64_t>(audits_.node_count()));
-  for (std::uint32_t id = 0; id < audits_.node_count(); ++id) {
-    const NodeId node{id};
-    w.pod(audits_.level(node));
-    w.vec_pod(audits_.received_of(node));
-    w.vec_pod(audits_.forwarded_of(node));
-    const SofRecord* sof = audits_.sof(node);
-    w.pod(sof != nullptr);
-    if (sof != nullptr) {
-      w.pod(sof->msg);
-      w.pod(sof->originated);
-      w.pod(sof->received_interval);
-      w.pod(sof->forward_interval);
-      w.pod(sof->in_edge);
-      w.vec_pod(sof->out_edges);
-    }
-  }
-
-  net_->snapshot_save(w);
-
-  w.section(kTraceSection);
-  w.vec_pod(prefix_events);
-
+    int rounds, std::vector<TraceEvent> prefix_events) const {
   Snapshot snap;
   snap.fingerprint_ = deployment_fingerprint();
   snap.node_count_ = net_->node_count();
   snap.formation_rounds_ = rounds;
-  snap.buffer_ = w.take();
+  snap.nonce_state_ = nonce_state_;
+  snap.broadcast_next_epoch_ = broadcaster_.next_epoch();
+  snap.receiver_ = receiver_;
+  snap.metrics_ = trace_state_.metrics;
+  snap.phase_ = trace_state_.phase;
+  snap.slot_ = trace_state_.slot;
+  snap.executions_ = trace_state_.executions;
+  snap.epochs_ = trace_state_.epochs;
+  snap.prefix_events_ = std::move(prefix_events);
+  snap.tree_ = tree_;
+  net_->snapshot_save(snap.network_);
   return snap;
 }
 
@@ -534,69 +482,23 @@ void VmatCoordinator::restore_snapshot(const Snapshot& snapshot,
         "restore_snapshot: snapshot belongs to an incompatible deployment "
         "(topology/key material/config mismatch)");
 
+  // First, because it refuses stale key material before any state moves.
+  net_->snapshot_load(snapshot.network_);
+
   // Whatever happens below, the live tree is no longer the epoch's.
   epoch_stale_ = true;
-  SnapshotReader r(snapshot.data());
+  nonce_state_ = snapshot.nonce_state_;
+  broadcaster_.restore_next_epoch(snapshot.broadcast_next_epoch_);
+  receiver_ = snapshot.receiver_;
+  trace_state_.metrics = snapshot.metrics_;
+  trace_state_.phase = snapshot.phase_;
+  trace_state_.slot = snapshot.slot_;
+  trace_state_.executions = snapshot.executions_;
+  trace_state_.epochs = snapshot.epochs_;
+  tree_ = snapshot.tree_;
 
-  r.section(kCoordSection);
-  r.pod(nonce_state_);
-  broadcaster_.restore_next_epoch(r.pod<std::uint64_t>());
-  if (r.pod<std::uint64_t>() != receivers_.size())
-    throw std::invalid_argument("restore_snapshot: receiver count mismatch");
-  for (AuthReceiver& recv : receivers_) recv.snapshot_load(r);
-  r.pod(trace_state_.metrics);
-  r.pod(trace_state_.phase);
-  r.pod(trace_state_.slot);
-  r.pod(trace_state_.executions);
-  r.pod(trace_state_.epochs);
-
-  r.section(kTreeSection);
-  r.pod(tree_.session);
-  r.pod(tree_.mode);
-  r.pod(tree_.depth_bound);
-  r.vec_pod(tree_.level);
-  {
-    std::vector<std::uint32_t> offsets;
-    std::vector<ParentLink> links;
-    r.vec_pod(offsets);
-    r.vec_pod(links);
-    tree_.parents.restore(std::move(offsets), std::move(links));
-  }
-
-  r.section(kAuditSection);
-  if (r.pod<std::uint64_t>() != audits_.node_count())
-    throw std::invalid_argument("restore_snapshot: audit count mismatch");
-  audits_.begin_aggregation(1);  // serial restore: one pool
-  for (std::uint32_t id = 0; id < audits_.node_count(); ++id) {
-    const NodeId node{id};
-    Level level;
-    r.pod(level);
-    audits_.set_level(node, level);
-    std::vector<ReceivedRecord> received;
-    std::vector<ForwardRecord> forwarded;
-    r.vec_pod(received);
-    r.vec_pod(forwarded);
-    for (const ReceivedRecord& rec : received) audits_.add_received(0, node, rec);
-    for (const ForwardRecord& rec : forwarded) audits_.add_forwarded(0, node, rec);
-    if (r.pod<bool>()) {
-      SofRecord sof;
-      r.pod(sof.msg);
-      r.pod(sof.originated);
-      r.pod(sof.received_interval);
-      r.pod(sof.forward_interval);
-      r.pod(sof.in_edge);
-      r.vec_pod(sof.out_edges);
-      audits_.set_sof(0, node, std::move(sof));
-    }
-  }
-
-  net_->snapshot_load(r);
-
-  r.section(kTraceSection);
-  std::vector<TraceEvent> prefix;
-  r.vec_pod(prefix);
   if (TraceSink* sink = trace_state_.sink; sink != nullptr) {
-    for (TraceEvent e : prefix) {
+    for (TraceEvent e : snapshot.prefix_events_) {
       if (epoch_ordinal >= 0 && e.kind == TraceEventKind::kEpochBegin)
         e.value = epoch_ordinal;
       // Straight to the sink: going through a Tracer would double-meter
@@ -604,8 +506,6 @@ void VmatCoordinator::restore_snapshot(const Snapshot& snapshot,
       sink->on_event(e);
     }
   }
-  if (!r.exhausted())
-    throw std::invalid_argument("restore_snapshot: trailing bytes");
 }
 
 Snapshot VmatCoordinator::snapshot_after_formation() {
@@ -621,7 +521,7 @@ Snapshot VmatCoordinator::snapshot_after_formation() {
   epoch_stale_ = true;
   int rounds = 0;
   (void)form_tree(rounds, tracer);
-  return capture_snapshot(rounds, prefix);
+  return capture_snapshot(rounds, std::move(prefix));
 }
 
 ExecutionOutcome VmatCoordinator::resume_from(const Snapshot& snapshot,

@@ -158,7 +158,7 @@ class VmatCoordinator {
       const ValueTable& values, const ValueTable& weights,
       const ContentValidator& validate = {}, int max_executions = 1000);
 
-  // --- fork (copy-on-write snapshots, sim/snapshot.h) ---
+  // --- fork (post-formation snapshots, sim/snapshot.h) ---
 
   /// Run execute()'s prefix — fresh session nonce, authenticated
   /// announcement, tree formation — and capture the complete
@@ -281,11 +281,11 @@ class VmatCoordinator {
 
   /// Hash pinning the immutable deployment identity a snapshot belongs to.
   [[nodiscard]] std::uint64_t deployment_fingerprint() const;
-  /// Serialize the coordinator + network state (with the buffered prefix
-  /// trace events) into a Snapshot.
+  /// Copy the post-formation coordinator + network state (with the
+  /// buffered prefix trace events) into a Snapshot.
   [[nodiscard]] Snapshot capture_snapshot(
-      int rounds, const std::vector<TraceEvent>& prefix_events) const;
-  /// Decode a snapshot back into this coordinator/network, replaying the
+      int rounds, std::vector<TraceEvent> prefix_events) const;
+  /// Copy a snapshot back into this coordinator/network, replaying the
   /// buffered prefix events into an attached sink, and mark the epoch
   /// stale (its tree was just replaced). `epoch_ordinal` >= 0 rewrites the
   /// replayed kEpochBegin ordinal (an epoch restore continues the live
@@ -308,6 +308,9 @@ class VmatCoordinator {
   // coordinator's count.
   // vmat-analyze: allow(snapshot-field-coverage) -- diagnostic counter
   std::uint64_t formations_{0};
+  // Not captured: the query block's aggregation phase drops every row
+  // (AuditLog::begin_aggregation) before anything reads one.
+  // vmat-analyze: allow(snapshot-field-coverage) -- dropped before any read
   AuditLog audits_;
   TreeResult tree_;
   // The live epoch: it always describes the formation epoch_snapshot_
@@ -318,7 +321,10 @@ class VmatCoordinator {
   // vmat-analyze: allow(snapshot-field-coverage) -- live epoch descriptor
   bool epoch_stale_{true};
   AuthBroadcaster broadcaster_;
-  std::vector<AuthReceiver> receivers_;
+  /// The sensors' broadcast cursor. One serves them all: every
+  /// non-revoked sensor accepts the same broadcasts in lockstep, and a
+  /// revoked sensor never receives again.
+  AuthReceiver receiver_;
   /// Shared by every component tracing one execution; the Tracer handles
   /// threaded through the phases all point here.
   TraceState trace_state_;

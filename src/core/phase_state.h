@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "util/ids.h"
@@ -100,21 +99,7 @@ class ParentTable {
                                        offsets_[id + 1] - offsets_[id]);
   }
 
-  // Snapshot accessors (core/coordinator.cpp, section tag "TRE2").
-  [[nodiscard]] const std::vector<std::uint32_t>& offsets() const noexcept {
-    return offsets_;
-  }
-  [[nodiscard]] const std::vector<ParentLink>& links() const noexcept {
-    return links_;
-  }
-  void restore(std::vector<std::uint32_t> offsets,
-               std::vector<ParentLink> links) {
-    if (!offsets.empty() &&
-        (offsets.front() != 0 || offsets.back() != links.size()))
-      throw std::invalid_argument("ParentTable::restore: corrupt offsets");
-    offsets_ = std::move(offsets);
-    links_ = std::move(links);
-  }
+  friend bool operator==(const ParentTable&, const ParentTable&) = default;
 
  private:
   std::vector<std::uint32_t> offsets_;  ///< size n+1 (empty = no nodes)

@@ -173,9 +173,6 @@ void Engine::run_round() {
   // --- settle: disrupted executions burn an attempt; clean ones answer ---
   if (!exec.produced_result()) {
     stats_.disrupted_executions += 1;
-    stats_.backoff = stats_.backoff == 0
-                         ? config_.backoff_base
-                         : std::min(stats_.backoff * 2, config_.backoff_cap);
     stats_.window = 1;
     for (std::size_t qi : picked) {
       Pending& p = pending_[qi];
@@ -185,7 +182,6 @@ void Engine::run_round() {
     }
     return;
   }
-  stats_.backoff = 0;
   stats_.window = std::min(stats_.window * 2, config_.max_in_flight);
 
   for (std::size_t bi = 0; bi < blocks.size(); ++bi) {

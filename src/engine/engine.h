@@ -15,7 +15,7 @@
 // so each query's synopses are exactly what a standalone execution would
 // use and the per-execution security argument (Theorem 2 / Theorem 7) is
 // unchanged — only the formation cost is shared. The Engine itself owns
-// packing, admission, backoff and epochs.
+// packing, admission and epochs.
 //
 // Disruption handling is the Theorem 7 retry loop: a disrupted execution
 // revokes adversary key material, invalidates the epoch, and leaves the
@@ -23,8 +23,7 @@
 // deadline); the engine applies slow-start admission — after a disruption
 // the next round packs a single query (so one disruption burns one query's
 // attempt, not the whole batch's), and the window doubles per clean round
-// back up to max_in_flight — plus a nominal exponential backoff counter
-// (EngineStats::backoff) a deployment would sleep between rounds.
+// back up to max_in_flight.
 //
 // Determinism contract: queries are packed in submission order, nonces are
 // drawn serially before any parallel work, and the thread pool only builds
@@ -69,10 +68,6 @@ struct EngineConfig {
   std::uint32_t max_instances_per_execution{8192};
   /// Default per-query execution budget (EngineQuery::max_executions = 0).
   int default_deadline{64};
-  /// Nominal backoff doubling base/cap (rounds a deployment would wait
-  /// between disrupted executions; surfaced via EngineStats::backoff).
-  std::uint64_t backoff_base{1};
-  std::uint64_t backoff_cap{64};
   /// Engine-level budget: drain() fails everything still pending with
   /// kBudgetExhausted once this many rounds have run.
   std::uint64_t max_rounds{100000};
@@ -106,8 +101,6 @@ struct EngineStats {
   std::uint64_t epochs_rearmed{0};
   std::uint64_t queries_answered{0};
   std::uint64_t queries_failed{0};
-  /// Current nominal backoff (0 after a clean round).
-  std::uint64_t backoff{0};
   /// Current admission window (slow-start state).
   std::uint32_t window{1};
   std::uint64_t fabric_bytes{0};  ///< executions + epoch formations

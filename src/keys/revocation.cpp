@@ -2,13 +2,7 @@
 
 #include <stdexcept>
 
-#include "sim/snapshot.h"
-
 namespace vmat {
-
-namespace {
-constexpr std::uint32_t kRevocationSection = 0x5245564f;  // "REVO"
-}  // namespace
 
 RevocationRegistry::RevocationRegistry(const Predistribution* keys,
                                        std::uint32_t threshold)
@@ -63,39 +57,20 @@ std::uint32_t RevocationRegistry::revoked_count(NodeId node) const noexcept {
   return it == counts_.end() ? 0 : it->second;
 }
 
-void RevocationRegistry::snapshot_save(SnapshotWriter& w) const {
-  w.section(kRevocationSection);
-  w.pod(static_cast<std::uint64_t>(revoked_keys_.size()));
-  for (const KeyIndex k : revoked_keys_) w.pod(k);
-  w.pod(static_cast<std::uint64_t>(revoked_sensors_.size()));
-  for (const NodeId s : revoked_sensors_) w.pod(s);
-  w.vec_pod(revoked_sensor_order_);
-  w.pod(static_cast<std::uint64_t>(counts_.size()));
-  for (const auto& [node, count] : counts_) {
-    w.pod(node);
-    w.pod(count);
-  }
-  w.vec_pod(events_);
+void RevocationRegistry::snapshot_save(SavedState& out) const {
+  out.revoked_keys = revoked_keys_;
+  out.revoked_sensors = revoked_sensors_;
+  out.revoked_sensor_order = revoked_sensor_order_;
+  out.counts = counts_;
+  out.events = events_;
 }
 
-void RevocationRegistry::snapshot_load(SnapshotReader& r) {
-  r.section(kRevocationSection);
-  revoked_keys_.clear();
-  const auto key_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  for (std::size_t i = 0; i < key_count; ++i)
-    revoked_keys_.insert(r.pod<KeyIndex>());
-  revoked_sensors_.clear();
-  const auto sensor_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  for (std::size_t i = 0; i < sensor_count; ++i)
-    revoked_sensors_.insert(r.pod<NodeId>());
-  r.vec_pod(revoked_sensor_order_);
-  counts_.clear();
-  const auto count_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  for (std::size_t i = 0; i < count_count; ++i) {
-    const auto node = r.pod<NodeId>();
-    counts_[node] = r.pod<std::uint32_t>();
-  }
-  r.vec_pod(events_);
+void RevocationRegistry::snapshot_load(const SavedState& in) {
+  revoked_keys_ = in.revoked_keys;
+  revoked_sensors_ = in.revoked_sensors;
+  revoked_sensor_order_ = in.revoked_sensor_order;
+  counts_ = in.counts;
+  events_ = in.events;
 }
 
 std::size_t RevocationRegistry::pinpointed_key_count() const noexcept {

@@ -21,9 +21,6 @@
 
 namespace vmat {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 enum class RevocationCause : std::uint8_t {
   kPinpointed,   ///< individually exposed by a pinpointing run
   kRingSeed,     ///< bulk-revoked when its holder's ring seed was announced
@@ -83,12 +80,18 @@ class RevocationRegistry {
 
   // --- snapshots (sim/snapshot.h) ---
 
-  /// Serialize the registry's full mutable state. The hash containers are
-  /// flattened in iteration order; only membership/counts matter to the
-  /// protocol, so the restored registry is behaviorally identical.
-  void snapshot_save(SnapshotWriter& writer) const;
-  /// Restore a snapshot_save() image (replaces all current state).
-  void snapshot_load(SnapshotReader& reader);
+  /// The registry's full mutable state, as a snapshot copies it. The key
+  /// material and θ are deployment identity and stay with the registry.
+  struct SavedState {
+    std::unordered_set<KeyIndex> revoked_keys;
+    std::unordered_set<NodeId> revoked_sensors;
+    std::vector<NodeId> revoked_sensor_order;
+    std::unordered_map<NodeId, std::uint32_t> counts;
+    std::vector<RevocationEvent> events;
+  };
+  void snapshot_save(SavedState& out) const;
+  /// Replace all current state with a snapshot_save() copy.
+  void snapshot_load(const SavedState& in);
 
  private:
   /// Mark one key revoked; push sensors that cross θ onto `newly`.
@@ -106,10 +109,11 @@ class RevocationRegistry {
   // Trace sink handle, owned by the coordinator, not execution state.
   // vmat-analyze: allow(snapshot-field-coverage) -- trace sink, not state
   Tracer tracer_;
-  // The hash containers below are snapshot-captured by explicit
-  // flatten/rebuild in snapshot_save()/snapshot_load() — membership and
-  // counts are the only observable state, so iteration order is free.
-  // vmat-lint: allow-file(snapshot-unsafe-state) -- flattened/rebuilt pair
+  // The hash containers below are snapshot-captured by value copy in
+  // snapshot_save()/snapshot_load(). Nothing iterates them (lookups and
+  // sizes only; the ordered views are the two vectors), so a copy's
+  // bucket order is never observable.
+  // vmat-lint: allow-file(snapshot-unsafe-state) -- copied; never iterated
   std::unordered_set<KeyIndex> revoked_keys_;
   std::unordered_set<NodeId> revoked_sensors_;
   std::vector<NodeId> revoked_sensor_order_;

@@ -176,92 +176,29 @@ void Fabric::reset() {
   collect_ = 0;
 }
 
-namespace {
-
-constexpr std::uint32_t kFabricSection = 0x46414252;  // "FABR"
-
-/// Everything of a Frame except the payload span, which is serialized as
-/// raw bytes and re-stored into an arena on load.
-struct FrameImage {
-  NodeId from;
-  NodeId to;
-  KeyIndex edge_key{kNoKey};
-  Mac edge_mac;
-};
-static_assert(std::is_trivially_copyable_v<FrameImage>);
-
-void save_frame(SnapshotWriter& w, const Frame& f) {
-  w.pod(FrameImage{f.from, f.to, f.edge_key, f.edge_mac});
-  w.bytes(f.payload);
+void Fabric::snapshot_save(SavedState& out) const {
+  if (!staged_.empty() || !delivered_.empty())
+    throw std::logic_error(
+        "Fabric::snapshot_save: frames in flight — capture only at a phase "
+        "boundary, after reset()");
+  out.loss_rng_state = loss_rng_state_;
+  out.lost = lost_;
+  out.bytes_sent = bytes_sent_;
+  out.bytes_received = bytes_received_;
+  out.total_bytes = total_bytes_;
+  out.dropped = dropped_;
+  out.frames_sent = frames_sent_;
 }
 
-Frame load_frame(SnapshotReader& r, SlotArena& arena) {
-  FrameImage image;
-  r.pod(image);
-  return Frame{image.from, image.to, image.edge_key, image.edge_mac,
-               arena.store(r.bytes())};
-}
-
-}  // namespace
-
-void Fabric::snapshot_save(SnapshotWriter& w) const {
-  w.section(kFabricSection);
-  w.pod(loss_rng_state_);
-  w.pod(lost_);
-  w.pod(static_cast<std::uint64_t>(collect_));
-  w.vec_pod(sent_this_slot_);
-  w.vec_pod(bytes_sent_);
-  w.vec_pod(bytes_received_);
-  w.pod(total_bytes_);
-  w.pod(dropped_);
-  w.pod(frames_sent_);
-
-  w.pod(static_cast<std::uint64_t>(staged_.size()));
-  for (std::size_t i = 0; i < staged_.size(); ++i) save_frame(w, staged_[i]);
-
-  // Undrained delivered frames, per receiver in id order. take_inbox()
-  // collapses begin onto end, so drained ranges capture as empty.
-  for (std::size_t id = 0; id < inbox_begin_.size(); ++id) {
-    w.pod(static_cast<std::uint64_t>(inbox_end_[id] - inbox_begin_[id]));
-    for (std::uint32_t i = inbox_begin_[id]; i < inbox_end_[id]; ++i)
-      save_frame(w, delivered_[i]);
-  }
-}
-
-void Fabric::snapshot_load(SnapshotReader& r) {
-  r.section(kFabricSection);
-  r.pod(loss_rng_state_);
-  r.pod(lost_);
-  collect_ = static_cast<std::size_t>(r.pod<std::uint64_t>()) & 1;
-  r.vec_pod(sent_this_slot_);
-  r.vec_pod(bytes_sent_);
-  r.vec_pod(bytes_received_);
-  r.pod(total_bytes_);
-  r.pod(dropped_);
-  r.pod(frames_sent_);
-
-  // Rewind both arenas (capacity kept) and re-store payloads: staged
-  // frames into the collection arena, delivered ones into the arena that
-  // backs the open delivery slot (see end_slot()'s rotation).
-  arenas_[0].reset();
-  arenas_[1].reset();
-  staged_.clear();
-  const auto staged_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  for (std::size_t i = 0; i < staged_count; ++i)
-    staged_.push_back(load_frame(r, arenas_[collect_]));
-
-  // Delivered frames re-pack compacted (drained prefixes dropped); the
-  // per-node ranges yield the same frames in the same order as before.
-  delivered_.clear();
-  std::uint32_t running = 0;
-  for (std::size_t id = 0; id < inbox_begin_.size(); ++id) {
-    const auto count = static_cast<std::uint32_t>(r.pod<std::uint64_t>());
-    inbox_begin_[id] = running;
-    for (std::uint32_t i = 0; i < count; ++i)
-      delivered_.push_back(load_frame(r, arenas_[collect_ ^ 1]));
-    running += count;
-    inbox_end_[id] = running;
-  }
+void Fabric::snapshot_load(const SavedState& in) {
+  reset();
+  loss_rng_state_ = in.loss_rng_state;
+  lost_ = in.lost;
+  bytes_sent_ = in.bytes_sent;
+  bytes_received_ = in.bytes_received;
+  total_bytes_ = in.total_bytes;
+  dropped_ = in.dropped;
+  frames_sent_ = in.frames_sent;
 }
 
 std::uint64_t Fabric::config_fingerprint(std::uint64_t h) const noexcept {

@@ -54,7 +54,6 @@ std::size_t Network::rekey(const KeyMaterialSpec& fresh_keys) {
   revocation_.set_tracer(tracer_);
   for (NodeId s : dead) (void)revocation_.revoke_sensor(s);
   fabric_.reset();
-  edge_key_cache_.clear();
   std::fill(edge_key_slots_.begin(), edge_key_slots_.end(), EdgeKeySlot{});
   ++key_generation_;
   return dead.size();
@@ -72,7 +71,6 @@ std::size_t Network::establish_path_keys() {
     }
   }
   if (established > 0) {
-    edge_key_cache_.clear();
     std::fill(edge_key_slots_.begin(), edge_key_slots_.end(), EdgeKeySlot{});
     ++key_generation_;
   }
@@ -88,12 +86,12 @@ std::vector<NodeId> Network::usable_neighbors(NodeId node) const {
 }
 
 std::optional<KeyIndex> Network::usable_edge_key(NodeId a, NodeId b) const {
-  const std::size_t revoked = revocation_.revoked_key_count();
   const std::uint32_t slot_index = topology_.directed_edge_slot(a, b);
   if (slot_index != Topology::kNoDirectedEdge &&
       slot_index < edge_key_slots_.size()) {
     EdgeKeySlot& slot = edge_key_slots_[slot_index];
-    const std::uint32_t stamp = static_cast<std::uint32_t>(revoked) + 1;
+    const auto stamp =
+        static_cast<std::uint32_t>(revocation_.revoked_key_count()) + 1;
     if (slot.stamp == stamp) {
       if (slot.key == kNoKey) return std::nullopt;
       return slot.key;
@@ -106,16 +104,9 @@ std::optional<KeyIndex> Network::usable_edge_key(NodeId a, NodeId b) const {
     if (reverse < edge_key_slots_.size()) edge_key_slots_[reverse] = slot;
     return key;
   }
-  // Non-adjacent pair or un-compacted topology: the map path.
-  const std::uint64_t lo = std::min(a.value, b.value);
-  const std::uint64_t hi = std::max(a.value, b.value);
-  const std::uint64_t edge = (lo << 32) | hi;
-  const auto it = edge_key_cache_.find(edge);
-  if (it != edge_key_cache_.end() && it->second.revoked_count == revoked)
-    return it->second.key;
-  const auto key = compute_usable_edge_key(a, b);
-  edge_key_cache_[edge] = {key, revoked};
-  return key;
+  // Non-adjacent pair: no slot to cache in (every src/ caller passes
+  // physical neighbours, so this is the uncached cold path).
+  return compute_usable_edge_key(a, b);
 }
 
 std::optional<KeyIndex> Network::compute_usable_edge_key(NodeId a,
@@ -224,34 +215,26 @@ std::span<const Frame> Network::receive_valid(NodeId node, RxScratch& scratch,
   return scratch.frames;
 }
 
-namespace {
-constexpr std::uint32_t kNetworkSection = 0x4e455457;  // "NETW"
-}  // namespace
-
-void Network::snapshot_save(SnapshotWriter& w) const {
-  w.section(kNetworkSection);
-  w.pod(key_generation_);
-  // The slot table restores wholesale (stamps included): a slot filled
-  // under revoked count c is only trusted while the live count is still c,
-  // and the captured registry restores alongside — so stale stamps can
-  // never alias a different revoked set.
-  w.vec_pod(edge_key_slots_);
-  revocation_.snapshot_save(w);
-  fabric_.snapshot_save(w);
+void Network::snapshot_save(SavedState& out) const {
+  out.key_generation = key_generation_;
+  // The slot table copies wholesale (stamps included): a slot filled under
+  // revoked count c is only trusted while the live count is still c, and
+  // the captured registry restores alongside — so stale stamps can never
+  // alias a different revoked set.
+  out.edge_key_slots = edge_key_slots_;
+  revocation_.snapshot_save(out.revocation);
+  fabric_.snapshot_save(out.fabric);
 }
 
-void Network::snapshot_load(SnapshotReader& r) {
-  r.section(kNetworkSection);
-  const auto generation = r.pod<std::uint64_t>();
-  if (generation != key_generation_)
+void Network::snapshot_load(const SavedState& in) {
+  if (in.key_generation != key_generation_)
     throw std::invalid_argument(
         "Network::snapshot_load: key material changed since capture "
         "(rekey/path-key establishment) — the snapshot is stale");
-  r.vec_pod(edge_key_slots_);
-  edge_key_cache_.clear();
+  edge_key_slots_ = in.edge_key_slots;
   warm_valid_ = false;
-  revocation_.snapshot_load(r);
-  fabric_.snapshot_load(r);
+  revocation_.snapshot_load(in.revocation);
+  fabric_.snapshot_load(in.fabric);
 }
 
 std::uint64_t Network::snapshot_fingerprint() const {

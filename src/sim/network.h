@@ -14,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/mac_batch.h"
@@ -169,16 +168,28 @@ class Network {
 
   // --- snapshots (sim/snapshot.h) ---
 
-  /// Serialize the network's mutable state: key generation, the flat
-  /// edge-key slot table, the revocation registry, and the fabric.
-  /// Immutable material (topology, key pool/rings) is not serialized — it
-  /// is pinned by snapshot_fingerprint() and the captured key_generation.
-  void snapshot_save(SnapshotWriter& writer) const;
-  /// Restore a snapshot_save() image. Throws std::invalid_argument when
-  /// the key material changed since capture (key_generation mismatch).
-  /// The map-side edge-key cache is cleared, not restored: recompute is
-  /// deterministic, so behavior is identical either way.
-  void snapshot_load(SnapshotReader& reader);
+  /// One stamped edge-key slot (see edge_key_slots_ below).
+  struct EdgeKeySlot {
+    KeyIndex key{kNoKey};
+    std::uint32_t stamp{0};
+  };
+
+  /// The network's mutable state, as a snapshot copies it: key
+  /// generation, the edge-key slot table, the revocation registry and the
+  /// fabric's counters. Immutable material (topology, key pool/rings) is
+  /// not copied — it is pinned by snapshot_fingerprint() and the captured
+  /// key generation.
+  struct SavedState {
+    std::uint64_t key_generation{0};
+    std::vector<EdgeKeySlot> edge_key_slots;
+    RevocationRegistry::SavedState revocation;
+    Fabric::SavedState fabric;
+  };
+  void snapshot_save(SavedState& out) const;
+  /// Copy a snapshot_save() state back in. Throws std::invalid_argument
+  /// when the key material changed since capture (key-generation
+  /// mismatch) before any state moves.
+  void snapshot_load(const SavedState& in);
   /// Identity hash of the immutable deployment substrate: topology CSR,
   /// key-material spec, revocation threshold, redundancy, fabric config.
   [[nodiscard]] std::uint64_t snapshot_fingerprint() const;
@@ -200,7 +211,7 @@ class Network {
   [[nodiscard]] bool holds_claimed_key(NodeId node, const Frame& frame) const;
 
   // Immutable deployment identity: pinned by snapshot_fingerprint(), not
-  // serialized (see snapshot_save docs).
+  // copied (see snapshot_save docs).
   // vmat-analyze: allow(snapshot-field-coverage) -- fingerprint-pinned
   Topology topology_;
   // Key material is pinned by the captured key_generation_, never
@@ -218,35 +229,20 @@ class Network {
   // vmat-analyze: allow(snapshot-field-coverage) -- trace sink, not state
   Tracer tracer_;
 
-  /// Per-edge cache of the usable_edge_key() ring merge. An entry is valid
-  /// while the registry's revoked-key count (monotone: keys are only ever
-  /// added) still matches the count recorded at fill time; any revocation
-  /// in between forces a recompute, since it may have burned the cached
-  /// key or changed the smallest-non-revoked answer. Cleared wholesale on
-  /// rekey() and establish_path_keys(), which change the key material
-  /// itself. Lazily mutated, hence not thread-safe in general; the sharded
-  /// phase drivers call warm_crypto_caches() at a serial point first, after
-  /// which parallel lookups are read-only hits.
-  struct EdgeKeyEntry {
-    std::optional<KeyIndex> key;
-    std::size_t revoked_count;
-  };
-  // Not snapshot-captured: snapshot_load() clears it and lets the
-  // deterministic recompute repopulate (see snapshot_load docs).
-  // vmat-lint: allow(snapshot-unsafe-state) -- cleared on load, recompute
-  mutable std::unordered_map<std::uint64_t, EdgeKeyEntry> edge_key_cache_;
-
-  /// Flat fast path in front of edge_key_cache_: one 8-byte slot per
+  /// Cache of the usable_edge_key() ring merge: one 8-byte slot per
   /// directed CSR edge, indexed by Topology::directed_edge_slot(), so the
-  /// per-frame lookup is two array loads instead of a hash probe. stamp is
-  /// revoked_key_count()+1 at fill time (0 = unset); key == kNoKey means
-  /// "no usable edge key". Sized once at construction (the fabric compacts
-  /// the topology first); cleared by rekey()/establish_path_keys(). The
-  /// map stays behind it for non-adjacent queries.
-  struct EdgeKeySlot {
-    KeyIndex key{kNoKey};
-    std::uint32_t stamp{0};
-  };
+  /// per-frame lookup is two array loads. A slot is valid while the
+  /// registry's revoked-key count (monotone: keys are only ever added)
+  /// still matches its stamp, revoked_key_count()+1 at fill time (0 =
+  /// unset); any revocation in between forces a recompute, since it may
+  /// have burned the cached key or changed the smallest-non-revoked
+  /// answer. key == kNoKey means "no usable edge key". Sized once at
+  /// construction (the fabric compacts the topology first), so it covers
+  /// every physical neighbour pair; cleared by rekey()/establish_path_keys(),
+  /// which change the key material itself. Lazily mutated, hence not
+  /// thread-safe in general; the sharded phase drivers call
+  /// warm_crypto_caches() at a serial point first, after which parallel
+  /// lookups are read-only hits.
   mutable std::vector<EdgeKeySlot> edge_key_slots_;
 
   /// Warm-state memo: warm_crypto_caches() is a no-op while the key

@@ -1,6 +1,6 @@
 // Serving-engine tests: epoch-batched execution, bit-identical results
 // across thread pools, epoch invalidation on revocation, deadlines and
-// slow-start/backoff under a choking adversary, and admission control.
+// slow-start admission under a choking adversary, and admission control.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -277,8 +277,7 @@ TEST(Engine, ChokingAdversaryTriggersBackoffThenAnswers) {
   EXPECT_GT(stats.disrupted_executions, 0u);
   // Each disruption invalidated the epoch; a fresh tree was formed.
   EXPECT_GT(stats.epochs_formed, 1u);
-  // The run ended clean, so slow-start recovered and backoff cleared.
-  EXPECT_EQ(stats.backoff, 0u);
+  // The run ended clean, so slow-start recovered.
   EXPECT_GT(stats.window, 1u);
 }
 
@@ -302,7 +301,6 @@ TEST(Engine, DeadlineExceededUnderPersistentDisruption) {
   ASSERT_TRUE(results[0].error.has_value());
   EXPECT_EQ(results[0].error->code, ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(results[0].executions, 1);
-  EXPECT_EQ(engine.stats().backoff, engine.config().backoff_base);
   EXPECT_EQ(engine.stats().window, 1u);
 }
 

@@ -1,12 +1,11 @@
-// Copy-on-write snapshot tests: a fork (snapshot_after_formation +
-// resume_from) must be bit-identical to the execute() that would have run
-// the same prefix — same stats, same trace stream, for any thread count —
-// and a restored epoch must continue the live nonce/ordinal streams. The
+// Snapshot tests: a fork (snapshot_after_formation + resume_from) must be
+// bit-identical to the execute() that would have run the same prefix —
+// same stats, same trace stream, for any thread count — and a restored
+// epoch must continue the live nonce/ordinal streams. The
 // SnapshotParallel suite runs concurrent forks and is picked up by the
 // sanitizer CI matrix (ctest -R 'Parallel|ThreadPool|TrialSeed').
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -81,6 +80,37 @@ TEST(Snapshot, ForkMatchesScratchBitIdentical) {
 
   expect_same_outcome(want, got);
   EXPECT_EQ(scratch_rec.events(), fork_rec.events());
+
+  // Capture after history: a disrupted execution first fills the audit
+  // log, the revocation registry and the fabric counters, and the capture
+  // must carry exactly what the next execution reads of them.
+  SCOPED_TRACE("capture after a revoking execution");
+  auto choke = [] {
+    return campaign::make_named_strategy("choke", LiePolicy::kDenyAll);
+  };
+  const std::unordered_set<NodeId> malicious{NodeId{14}};
+
+  Network twin_net(topo, dense_keys());
+  Adversary twin_adv(&twin_net, malicious, choke());
+  VmatCoordinator twin(&twin_net, &twin_adv, CoordinatorSpec{});
+  ASSERT_EQ(twin.run_min(readings).kind, OutcomeKind::kRevocation);
+  FlightRecorder twin_rec;
+  twin.set_recorder(&twin_rec);
+  const auto want_after = twin.run_min(readings);
+
+  Network history_net(topo, dense_keys());
+  Adversary history_adv(&history_net, malicious, choke());
+  VmatCoordinator history(&history_net, &history_adv, CoordinatorSpec{});
+  ASSERT_EQ(history.run_min(readings).kind, OutcomeKind::kRevocation);
+  ASSERT_GT(history_net.revocation().revoked_key_count(), 0u);
+  ASSERT_GT(history_net.fabric().total_bytes(), 0u);
+  const Snapshot after = history.snapshot_after_formation();
+  FlightRecorder history_rec;
+  history.set_recorder(&history_rec);
+  const auto got_after = history.resume_min(after, readings);
+
+  expect_same_outcome(want_after, got_after);
+  EXPECT_EQ(twin_rec.events(), history_rec.events());
 }
 
 TEST(Snapshot, RepeatedForksFromOneSnapshotAreIdentical) {
@@ -197,56 +227,6 @@ TEST(Snapshot, ResumeRejectsIncompatibleDeployment) {
   VmatCoordinator b(&net_b, nullptr, CoordinatorSpec{});
   EXPECT_THROW((void)b.resume_min(snapshot, default_readings(25)),
                std::invalid_argument);
-}
-
-/// Rewrite the first occurrence of the 4-byte little-endian section tag
-/// `from` inside the snapshot buffer to `to`. The Snapshot API is
-/// deliberately opaque, so the tamper goes through data()'s span.
-void retag_section(const Snapshot& snapshot, std::uint32_t from,
-                   std::uint32_t to) {
-  const auto view = snapshot.data();
-  auto* bytes = const_cast<std::uint8_t*>(view.data());
-  std::uint8_t needle[4], replacement[4];
-  std::memcpy(needle, &from, 4);
-  std::memcpy(replacement, &to, 4);
-  for (std::size_t i = 0; i + 4 <= view.size(); ++i) {
-    if (std::memcmp(bytes + i, needle, 4) == 0) {
-      std::memcpy(bytes + i, replacement, 4);
-      return;
-    }
-  }
-  FAIL() << "section tag not found in snapshot buffer";
-}
-
-TEST(Snapshot, ResumeRejectsPreDietSectionLayout) {
-  // The memory diet changed the tree and audit section encodings (CSR
-  // offsets + pooled chains) and renamed their tags TREE→TRE2, AUDT→AUD2.
-  // A snapshot carrying a pre-diet tag must be refused as layout skew, not
-  // misparsed: forward compatibility here is a clean error.
-  constexpr std::uint32_t kTre2 = 0x54524532;  // "TRE2" (current)
-  constexpr std::uint32_t kTree = 0x54524545;  // "TREE" (pre-diet)
-  constexpr std::uint32_t kAud2 = 0x41554432;  // "AUD2" (current)
-  constexpr std::uint32_t kAudt = 0x41554454;  // "AUDT" (pre-diet)
-
-  Network net(Topology::grid(5, 5), dense_keys());
-  VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
-  const auto readings = default_readings(25);
-
-  Snapshot stale_tree = coordinator.snapshot_after_formation();
-  retag_section(stale_tree, kTre2, kTree);
-  EXPECT_THROW((void)coordinator.resume_min(stale_tree, readings),
-               std::invalid_argument);
-
-  Snapshot stale_audit = coordinator.snapshot_after_formation();
-  retag_section(stale_audit, kAud2, kAudt);
-  EXPECT_THROW((void)coordinator.resume_min(stale_audit, readings),
-               std::invalid_argument);
-
-  // The untampered twin still resumes — the rejections above are the tag
-  // checks firing, not collateral corruption.
-  const Snapshot good = coordinator.snapshot_after_formation();
-  EXPECT_EQ(coordinator.resume_min(good, readings).kind,
-            OutcomeKind::kResult);
 }
 
 TEST(Snapshot, RestoreRejectsStaleKeyMaterial) {
@@ -463,72 +443,6 @@ TEST(SnapshotParallel, ConcurrentForksAreIsolated) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     expect_same_outcome(want[trial], got[trial]);
   }
-}
-
-// Runtime twin of the vmat-analyze `snapshot-field-coverage` rule (see
-// tools/fixtures/analyze/snapshot_coverage_bad.cpp for the static fixture):
-// a serializer that omits a mutable field silently resurrects post-capture
-// state on restore. The drifting pair shows the corruption the rule exists
-// to catch; the covered pair shows the fix restoring bit-exact state.
-struct DriftingTally {
-  std::uint64_t applied{0};
-  std::uint64_t dropped{0};
-
-  // The buggy pair: `dropped` never enters the buffer.
-  void save_drifting(SnapshotWriter& w) const { w.pod(applied); }
-  void load_drifting(SnapshotReader& r) { r.pod(applied); }
-
-  // The covered pair: every mutable field round-trips.
-  void save_covered(SnapshotWriter& w) const {
-    w.pod(applied);
-    w.pod(dropped);
-  }
-  void load_covered(SnapshotReader& r) {
-    r.pod(applied);
-    r.pod(dropped);
-  }
-};
-
-TEST(Snapshot, OmittedFieldDriftsAcrossRestore) {
-  DriftingTally tally;
-  tally.applied = 3;
-  tally.dropped = 7;
-
-  SnapshotWriter w;
-  tally.save_drifting(w);
-  const Bytes image = w.take();
-
-  // Post-capture mutation that a restore must undo.
-  tally.applied = 100;
-  tally.dropped = 100;
-
-  SnapshotReader r(image);
-  tally.load_drifting(r);
-  EXPECT_TRUE(r.exhausted());
-
-  EXPECT_EQ(tally.applied, 3u);    // serialized: restored to capture time
-  EXPECT_EQ(tally.dropped, 100u);  // omitted: post-capture value leaks through
-  EXPECT_NE(tally.dropped, 7u);    // the restored object != the captured one
-}
-
-TEST(Snapshot, CoveredFieldsRestoreBitExact) {
-  DriftingTally tally;
-  tally.applied = 3;
-  tally.dropped = 7;
-
-  SnapshotWriter w;
-  tally.save_covered(w);
-  const Bytes image = w.take();
-
-  tally.applied = 100;
-  tally.dropped = 100;
-
-  SnapshotReader r(image);
-  tally.load_covered(r);
-  EXPECT_TRUE(r.exhausted());
-
-  EXPECT_EQ(tally.applied, 3u);
-  EXPECT_EQ(tally.dropped, 7u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // vmat-analyze fixture: snapshot-field-coverage positive. DriftingCounter
-// serializes sent_ but deliberately omits dropped_ — exactly the drift that
-// corrupts forked executions (the runtime twin lives in
-// tests/test_snapshot.cpp, SnapshotDrift.*). Expected findings: 1.
+// saves sent_ but deliberately omits dropped_ — exactly the drift that
+// leaks post-capture state into forked executions on restore. Expected
+// findings: 1.
 
 struct Writer {
   void pod_u64(unsigned long v);

@@ -1,21 +1,21 @@
 // Fixture: snapshot-unsafe-state — a snapshot-captured class (one with a
-// snapshot_save() member) holding members the flat buffer cannot encode.
+// snapshot_save() member) holding members a value copy cannot reproduce.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 namespace vmat {
 
-class SnapshotWriter;
+struct SavedState;
 
 struct BadCapturedState {
-  void snapshot_save(SnapshotWriter& writer) const;
-  std::unordered_map<std::uint64_t, int> cache_;  // hash order leaks
-  int* scratch_;                                  // unowned mutable pointee
+  void snapshot_save(SavedState& out) const;
+  std::unordered_map<std::uint64_t, int> cache_;  // a copy may reorder it
+  int* scratch_;                                  // copy aliases the pointee
   const char* label_{nullptr};   // const pointee: fingerprinted identity
   std::vector<int> slots_;       // flat vector: the sanctioned form
   struct Entry {
-    int* cursor_;  // nested helper: captured via its own encode
+    int* cursor_;  // nested helper: captured via its own copy
   };
 };
 

@@ -18,7 +18,7 @@ families, each named and individually suppressible:
                           slot discipline, or the terminal call is on the
                           documented shard-safe API list (take_inbox,
                           receive_valid, ShardedTrace::shard).
-  snapshot-field-coverage For every class with a serializer pair
+  snapshot-field-coverage For every class with a save/load pair
                           (snapshot_save/snapshot_load, or the
                           coordinator's capture_snapshot/restore_snapshot),
                           every non-static data member must be referenced
@@ -674,7 +674,7 @@ def rule_snapshot_field_coverage(ast: Ast, tu_cursor,
                     field.location, "snapshot-field-coverage",
                     f"data member `{field.spelling}` of `{info['name']}` "
                     f"is never referenced by {save_name}()/{load_name}() — "
-                    "a fork restores stale state for it; serialize it or "
+                    "a fork restores stale state for it; copy it or "
                     "annotate the deliberate exclusion")
             break
 

@@ -50,16 +50,16 @@ checkable from source text, as named, individually suppressible rules:
                          resident index sets or thrashes the LRU. Use
                          ring_seed()/ring_contains() (or the derive-based
                          paths) in whole-network loops.
-  snapshot-unsafe-state  Classes captured by the copy-on-write snapshot
-                         subsystem (any class with a snapshot_save()
-                         member) must hold flat, order-independent state:
-                         no std::unordered_map / std::unordered_set
-                         members (iteration order leaks into the buffer
-                         unless explicitly flattened) and no raw pointer
-                         members with a mutable pointee (a snapshot cannot
-                         own or relocate what they reference). Sanctioned
-                         exceptions carry an allow() with the flatten /
-                         rebuild story.
+  snapshot-unsafe-state  Classes captured by the snapshot subsystem (any
+                         class with a snapshot_save() member) are copied
+                         by value, so they must hold order-independent,
+                         self-contained state: no std::unordered_map /
+                         std::unordered_set members (a copy need not
+                         iterate in its source's order) and no raw
+                         pointer members with a mutable pointee (a copy
+                         would alias its source's pointee instead of
+                         owning its own). Sanctioned exceptions carry an
+                         allow() saying why the copy is safe.
 
 Suppression syntax (checked per rule name, or `*` for all):
 
@@ -579,7 +579,7 @@ def rule_snapshot_unsafe_state(src: SourceFile, report) -> None:
             continue
         # Walk the body tracking brace depth relative to the class scope,
         # so locals in inline member functions and nested helper structs
-        # (whose members are captured via their own encode) are skipped.
+        # (whose members are captured via their own copy) are skipped.
         depth = 0
         offset = open_brace + 1
         for raw in body.split("\n"):
@@ -588,20 +588,19 @@ def rule_snapshot_unsafe_state(src: SourceFile, report) -> None:
                 if UNSAFE_CONTAINER_MEMBER_RE.match(raw):
                     report(line_no,
                            "unordered container member in a snapshot-"
-                           "captured class; hash iteration order is not "
-                           "part of the state — flatten to a sorted/"
-                           "insertion-ordered form in snapshot_save() and "
-                           "carry an allow() documenting it, or use a flat "
-                           "container")
+                           "captured class; a value copy need not iterate "
+                           "in its source's order — use a flat or ordered "
+                           "container, or keep it out of every iteration "
+                           "and carry an allow() documenting it")
                 else:
                     pm = PTR_MEMBER_RE.match(raw)
                     if pm and "const" not in pm.group(1).split():
                         report(line_no,
                                "raw pointer member with a mutable pointee "
-                               "in a snapshot-captured class; a snapshot "
-                               "buffer cannot own or relocate the pointee "
-                               "— capture the pointed-to state by value or "
-                               "point at const deployment identity")
+                               "in a snapshot-captured class; a value copy "
+                               "would alias its source's pointee — capture "
+                               "the pointed-to state by value or point at "
+                               "const deployment identity")
             depth += raw.count("{") - raw.count("}")
             offset += len(raw) + 1
 
