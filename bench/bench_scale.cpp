@@ -6,7 +6,14 @@
 // Timing discipline: each (size, mode) cell runs bench::trials(3) repeats
 // through the trial engine on a dedicated serial pool — wall-clock numbers
 // must not contend with each other — and the table reports the minimum,
-// the usual noise-robust choice for repeat timings.
+// the usual noise-robust choice for repeat timings. Set-up (Network,
+// adversary and coordinator construction, `setup_ms`) is timed apart from
+// the execution.
+//
+// Set-up gate: under VMAT_BENCH_SMOKE the bench exits non-zero unless n=50
+// coordinator construction (min over repeats) takes no longer than the
+// n=50 clean execution (min over repeats) — the broadcast chain must not
+// cost more than the protocol run it authenticates.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -140,8 +147,11 @@ int main() {
   // must run strictly serially for the timings to mean anything.
   vmat::ThreadPool serial(1);
 
-  vmat::TablePrinter table({"n", "L", "clean exec ms", "clean KB",
+  vmat::TablePrinter table({"n", "L", "setup ms", "clean exec ms", "clean KB",
                             "attacked exec ms", "pinpoint tests"});
+  // Set-up gate inputs, from the n=50 clean cell.
+  double gate_build_ms = -1.0;
+  double gate_run_ms = -1.0;
   for (const std::uint32_t n : sizes) {
     const double radius = vmat::Topology::connected_radius(n);
     const auto topo = vmat::Topology::random_geometric(n, radius, 7);
@@ -178,17 +188,23 @@ int main() {
 
     // Clean runs. trial_ms includes network setup; the table's "exec ms"
     // column keeps the historical meaning (run_min only), measured inside
-    // each trial.
+    // each trial, and "setup ms" times the construction before it.
     std::uint64_t clean_bytes = 0;
     vmat::Level depth_bound = 0;
     vmat::ExecutionMetrics clean_metrics;
     std::vector<double> clean_exec(n_trials, 0.0);
+    std::vector<double> clean_setup(n_trials, 0.0);
+    std::vector<double> clean_build(n_trials, 0.0);
     auto& clean_group = report.group("clean n=" + std::to_string(n));
     vmat::bench::timed_trials(
         clean_group, n_trials, 0,
         [&](std::size_t t, vmat::Rng&) {
+          const auto setup_start = std::chrono::steady_clock::now();
           vmat::Network net(topo, bench_keys(n));
+          const auto build_start = std::chrono::steady_clock::now();
           vmat::VmatCoordinator coordinator(&net, nullptr, vmat::CoordinatorSpec{});
+          clean_build[t] = ms_since(build_start);
+          clean_setup[t] = ms_since(setup_start);
           std::vector<vmat::Reading> readings(n, 500);
           const auto start = std::chrono::steady_clock::now();
           const auto out = coordinator.run_min(readings);
@@ -199,7 +215,13 @@ int main() {
         },
         &serial);
     const double clean_ms = vmat::percentile_nearest_rank(clean_exec, 0);
+    const double setup_ms = vmat::percentile_nearest_rank(clean_setup, 0);
     clean_group.metric("exec_ms_min", clean_ms);
+    clean_group.metric("setup_ms", setup_ms);
+    if (n == 50) {
+      gate_build_ms = vmat::percentile_nearest_rank(clean_build, 0);
+      gate_run_ms = clean_ms;
+    }
     clean_group.metric("fabric_kb", clean_bytes / vmat::kBytesPerKb);
     vmat::bench::add_phase_metrics(clean_group, clean_metrics);
 
@@ -212,10 +234,12 @@ int main() {
       int tests = 0;
       vmat::ExecutionMetrics attacked_metrics;
       std::vector<double> attacked_exec(n_trials, 0.0);
+      std::vector<double> attacked_setup(n_trials, 0.0);
       auto& attacked_group = report.group("attacked n=" + std::to_string(n));
       vmat::bench::timed_trials(
           attacked_group, n_trials, 0,
           [&](std::size_t t, vmat::Rng&) {
+            const auto setup_start = std::chrono::steady_clock::now();
             vmat::Network net(topo, bench_keys(n));
             vmat::Adversary adv(&net, malicious,
                                 vmat::campaign::make_named_strategy(
@@ -223,6 +247,7 @@ int main() {
             vmat::CoordinatorSpec cfg;
             cfg.depth_bound = topo.depth(malicious);
             vmat::VmatCoordinator coordinator(&net, &adv, cfg);
+            attacked_setup[t] = ms_since(setup_start);
             std::vector<vmat::Reading> readings(n, 500);
             for (std::uint32_t id = 1; id < n; ++id)
               readings[id] = 500 + static_cast<vmat::Reading>(id);
@@ -236,6 +261,8 @@ int main() {
           &serial);
       const double attacked_ms = vmat::percentile_nearest_rank(attacked_exec, 0);
       attacked_group.metric("exec_ms_min", attacked_ms);
+      attacked_group.metric("setup_ms",
+                            vmat::percentile_nearest_rank(attacked_setup, 0));
       attacked_group.metric("pinpoint_tests", tests);
       vmat::bench::add_phase_metrics(attacked_group, attacked_metrics);
       attacked_ms_cell = vmat::TablePrinter::fmt(attacked_ms, 1);
@@ -243,6 +270,7 @@ int main() {
     }
 
     table.add_row({std::to_string(n), std::to_string(depth_bound),
+                   vmat::TablePrinter::fmt(setup_ms, 2),
                    vmat::TablePrinter::fmt(clean_ms, 1),
                    vmat::TablePrinter::fmt(clean_bytes / vmat::kBytesPerKb, 1),
                    attacked_ms_cell, tests_cell});
@@ -254,5 +282,12 @@ int main() {
       "\xe2\x80\x94", max_attacked_size,
       full ? "" : " (VMAT_BENCH_FULL=1 adds the attacked n=4000 cell)");
   report.write();
-  return 0;
+
+  if (!vmat::bench::smoke() || gate_run_ms < 0.0) return 0;
+  const bool gate_ok = gate_build_ms <= gate_run_ms;
+  std::printf(
+      "SCALE set-up gate | n=50 coordinator construction %.3f ms vs clean "
+      "execution %.3f ms (need <=)  %s\n",
+      gate_build_ms, gate_run_ms, gate_ok ? "PASS" : "FAIL");
+  return gate_ok ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 
 #include <chrono>
 
+#include "broadcast/auth_broadcast.h"
 #include "core/audit.h"
 #include "core/synopsis.h"
 #include "crypto/hash_chain.h"
@@ -88,6 +89,37 @@ void BM_HashChainVerify(benchmark::State& state) {
         HashChain::verify(chain.element(distance), distance, chain.anchor(), 0));
 }
 BENCHMARK(BM_HashChainVerify)->Arg(1)->Arg(32)->Arg(127);
+
+// Broadcaster construction at the coordinator's capacity: hashes the top
+// chain only; lower chains are built on first use inside sign().
+void BM_AuthBroadcasterBuild(benchmark::State& state) {
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const AuthBroadcaster bs(++seed, kMaxBroadcasts);
+    benchmark::DoNotOptimize(bs.anchor());
+  }
+}
+BENCHMARK(BM_AuthBroadcasterBuild);
+
+// One sign plus one receiver verify/advance, as authenticated_broadcast()
+// pays per announcement. Includes the amortized lower-chain build (one per
+// kSegmentLength signs); the cursor rewinds untimed at capacity.
+void BM_AuthBroadcastSignVerify(benchmark::State& state) {
+  AuthBroadcaster bs(1, kMaxBroadcasts);
+  AuthReceiver rx(bs.anchor());
+  const Bytes payload(35, 0x5a);  // a query announcement's size
+  for (auto _ : state) {
+    if (bs.next_epoch() > kMaxBroadcasts) {
+      state.PauseTiming();
+      bs.restore_next_epoch(1);
+      rx = AuthReceiver(bs.anchor());
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(rx.accept(bs.sign(payload)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AuthBroadcastSignVerify);
 
 void BM_RingOverlap(benchmark::State& state) {
   const KeyRing a(1, 250, 100000);

@@ -8,9 +8,6 @@
 namespace vmat {
 namespace {
 
-/// Enough hash-chain elements for long experiment campaigns.
-constexpr std::size_t kMaxBroadcasts = 1 << 16;
-
 /// Buffers the event stream of a capture prefix while forwarding it to the
 /// user's sink (if any) — so snapshot_after_formation()/prepare_epoch()
 /// record the same events a plain execute() would, and the buffered copy

@@ -5,41 +5,31 @@
 #include "util/bytes.h"
 
 namespace vmat {
+namespace {
 
-HashChain::HashChain(std::uint64_t seed, std::size_t length) : length_(length) {
-  if (length == 0) throw std::invalid_argument("HashChain: zero length");
+Digest seed_end_of(std::uint64_t seed) {
   ByteWriter w;
   w.str("vmat.hash-chain.seed");
   w.u64(seed);
-  Digest current = Sha256::hash(w.bytes());
-
-  // Walk from the seed end (index length-1) down to the anchor (index 0),
-  // keeping the seed end plus every kStride-aligned element, written back
-  // to front so checkpoints_[k] holds element(k * kStride).
-  checkpoints_.resize((length - 1) / kStride + 1);
-  top_ = current;
-  for (std::size_t i = length; i-- > 0;) {
-    if (i != length - 1) current = Sha256::hash(current);
-    if (i % kStride == 0) checkpoints_[i / kStride] = current;
-  }
+  return Sha256::hash(w.bytes());
 }
 
-Digest HashChain::element(std::size_t i) const {
-  if (i >= length_) throw std::out_of_range("HashChain::element");
-  // Start from the nearest stored element at or above i and hash down:
-  // element(i) = H^(k-i)(element(k)), at most kStride-1 hashes.
-  const std::size_t slot = (i + kStride - 1) / kStride;
-  std::size_t k;
-  Digest current;
-  if (slot < checkpoints_.size()) {
-    k = slot * kStride;
-    current = checkpoints_[slot];
-  } else {
-    k = length_ - 1;
-    current = top_;
-  }
-  for (std::size_t step = k; step > i; --step) current = Sha256::hash(current);
-  return current;
+}  // namespace
+
+HashChain::HashChain(const Digest& seed_end, std::size_t length) {
+  if (length == 0) throw std::invalid_argument("HashChain: zero length");
+  elements_.resize(length);
+  elements_.back() = seed_end;
+  for (std::size_t i = length - 1; i-- > 0;)
+    elements_[i] = Sha256::hash(elements_[i + 1]);
+}
+
+HashChain::HashChain(std::uint64_t seed, std::size_t length)
+    : HashChain(seed_end_of(seed), length) {}
+
+const Digest& HashChain::element(std::size_t i) const {
+  if (i >= elements_.size()) throw std::out_of_range("HashChain::element");
+  return elements_[i];
 }
 
 bool HashChain::verify(const Digest& candidate, std::size_t i,

@@ -1,16 +1,16 @@
 // One-way hash chains, the commitment structure behind the authenticated
 // broadcast primitive (μTESLA-style, per Ning et al. [20]).
 //
-// The base station commits to chain anchor H^n(seed); releasing H^{n-i}(seed)
-// in epoch i authenticates that epoch's broadcast key. Receivers verify a
-// released element by hashing forward to a previously verified element.
+// A chain of n elements is built from its seed end, element(n-1), by
+// hashing down: element(i) = H(element(i+1)). element(0), the deepest hash,
+// is the anchor a verifier is pre-loaded with; releasing the elements in
+// increasing index order authenticates each one, since a receiver hashes
+// a released element forward to one it already verified.
 //
-// Storage: the chain is checkpointed, not materialized — every kStride-th
-// element (plus the seed end) is stored, and element(i) rehashes down from
-// the nearest checkpoint above. A 2^16-element chain thus costs ~8 KB
-// resident instead of 2 MB, and an element access at most kStride-1 extra
-// hashes (broadcasts are rare: a handful per execution). Elements are
-// identical to the fully materialized chain by construction.
+// Chains here are short — the broadcast layer (broadcast/auth_broadcast.h)
+// stacks two levels of at most 257 elements each instead of one long
+// chain — so a chain is simply materialized: n digests, element(i) is an
+// index. Building one costs n-1 hashes.
 #pragma once
 
 #include <cstdint>
@@ -22,32 +22,29 @@ namespace vmat {
 
 class HashChain {
  public:
-  /// Build a chain of `length` elements from a seed. element(0) is the
-  /// anchor (deepest hash, publicly known), element(length-1) the seed end.
+  /// Build a chain of `length` elements whose seed end, element(length-1),
+  /// is `seed_end`.
+  HashChain(const Digest& seed_end, std::size_t length);
+  /// Build a chain of `length` elements from a 64-bit seed (seed end
+  /// H("vmat.hash-chain.seed" || seed)).
   HashChain(std::uint64_t seed, std::size_t length);
 
-  [[nodiscard]] std::size_t length() const noexcept { return length_; }
+  [[nodiscard]] std::size_t length() const noexcept { return elements_.size(); }
 
-  /// i in [0, length): element i, where larger i = released later. Returned
-  /// by value: off-checkpoint elements are recomputed on the fly.
-  [[nodiscard]] Digest element(std::size_t i) const;
+  /// i in [0, length): element i, where larger i = released later.
+  [[nodiscard]] const Digest& element(std::size_t i) const;
 
-  [[nodiscard]] const Digest& anchor() const { return checkpoints_.front(); }
+  [[nodiscard]] const Digest& anchor() const { return elements_.front(); }
 
   /// Verify that `candidate` is the element at position `i` of a chain whose
   /// element at `verified_pos` (< i) is `verified`. Hashes forward i -
-  /// verified_pos times.
+  /// verified_pos times, so callers bound the distance first.
   [[nodiscard]] static bool verify(const Digest& candidate, std::size_t i,
                                    const Digest& verified,
                                    std::size_t verified_pos) noexcept;
 
-  /// Checkpoint spacing (elements between stored digests).
-  static constexpr std::size_t kStride = 256;
-
  private:
-  std::size_t length_{0};
-  std::vector<Digest> checkpoints_;  // element(k * kStride); [0] = anchor
-  Digest top_{};                     // element(length-1), the seed end
+  std::vector<Digest> elements_;  // [0] = anchor, back() = seed end
 };
 
 }  // namespace vmat

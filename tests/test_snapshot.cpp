@@ -340,6 +340,32 @@ TEST(Snapshot, RearmContinuesEpochOrdinalsAndResults) {
   EXPECT_EQ(epoch_ordinals, (std::vector<std::int64_t>{0, 1}));
 }
 
+TEST(Snapshot, RestoredEpochVerifiesAcrossBroadcastSegments) {
+  const std::uint32_t n = 25;
+  Network net(Topology::grid(5, 5), dense_keys());
+  VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
+  const auto readings = default_readings(n);
+  ValueTable values(n, 1, 0);
+  values.data = readings;
+  const ValueTable weights(n, 1, 0);
+
+  // The epoch's snapshot holds the sensors' broadcast cursor at epoch 1.
+  ASSERT_FALSE(coordinator.prepare_epoch().restored);
+  // Two broadcasts per one-shot execution: 160 executions carry the live
+  // cursor to epoch 322, past the first segment boundary.
+  for (int i = 0; i < 160; ++i)
+    ASSERT_EQ(coordinator.execute(values, weights).kind, OutcomeKind::kResult);
+  static_assert(2 * 160 + 1 > kSegmentLength);
+
+  // The restore rewinds the cursor into segment 0 and keeps the
+  // broadcaster in segment 1: the next announcement must verify across
+  // the boundary.
+  ASSERT_TRUE(coordinator.prepare_epoch().restored);
+  const auto out = coordinator.run_query(values, weights);
+  ASSERT_EQ(out.kind, OutcomeKind::kResult);
+  EXPECT_EQ(out.minima.front(), true_min(net, readings));
+}
+
 TEST(Snapshot, EngineRearmsStaleEpochWithoutRevocation) {
   Network net(Topology::grid(6, 6), dense_keys());
   VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
