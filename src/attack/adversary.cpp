@@ -49,14 +49,24 @@ bool AdversaryView::inject(NodeId via, NodeId to, NodeId claimed_from,
 }
 
 std::optional<KeyIndex> AdversaryView::attack_key_for(NodeId target) const {
+  const Predistribution& keys = net_->keys();
+  // The smallest unrevoked key some malicious sensor shares with target.
+  // Each sensor's keys are walked in ascending order (ring indices, then
+  // its path keys, which all lie above the pool), stopping at its first
+  // usable key or once no key of it can beat the best so far.
   std::optional<KeyIndex> best;
+  auto stop_at = [&](KeyIndex k) {
+    if (best.has_value() && k >= *best) return true;
+    if (!keys.node_holds(target, k) || net_->revocation().is_key_revoked(k))
+      return false;
+    best = k;
+    return true;
+  };
   for (NodeId m : malicious_) {
-    for (KeyIndex k : net_->keys().keys_of(m)) {
-      if (!net_->keys().node_holds(target, k)) continue;
-      if (net_->revocation().is_key_revoked(k)) continue;
-      if (!best.has_value() || k < *best) best = k;
-      break;  // keys_of is sorted; first usable is smallest for m
-    }
+    for (KeyIndex k : keys.ring(m).indices())
+      if (stop_at(k)) break;
+    for (const auto& [peer, k] : keys.path_keys_of(m))
+      if (stop_at(k)) break;
   }
   return best;
 }

@@ -53,10 +53,9 @@ void PinpointEngine::revoke_ring(NodeId node, PinpointOutcome& out,
 }
 
 KeyIndex PinpointEngine::find_edge_key(NodeId owner, Predicate probe,
+                                       PredicateTestEngine& tests,
                                        PinpointOutcome& out,
                                        const char* what) {
-  PredicateTestEngine tests(net_, adversary_, audits_, &out.cost, mode_,
-                            tracer_);
   const KeySpec key = KeySpec::sensor_key(owner);
   // Honest sensors only ever use non-revoked keys, and re-revoking a key
   // would not diminish the adversary; the base station therefore searches
@@ -104,10 +103,9 @@ KeyIndex PinpointEngine::find_edge_key(NodeId owner, Predicate probe,
 
 std::optional<NodeId> PinpointEngine::find_holder(KeyIndex edge_key,
                                                   Predicate probe,
+                                                  PredicateTestEngine& tests,
                                                   PinpointOutcome& out,
                                                   const char* what) {
-  PredicateTestEngine tests(net_, adversary_, audits_, &out.cost, mode_,
-                            tracer_);
   const KeySpec key = KeySpec::pool_key(edge_key);
   const auto holders = net_->keys().holders(edge_key);
   if (holders.empty()) {
@@ -154,6 +152,10 @@ std::optional<NodeId> PinpointEngine::find_holder(KeyIndex edge_key,
 
 PinpointOutcome PinpointEngine::veto_triggered(const VetoMsg& veto) {
   PinpointOutcome out;
+  // One test engine per walk: its tests share one base-station component
+  // until the walk's first revocation, which also ends the walk.
+  PredicateTestEngine tests(net_, adversary_, audits_, &out.cost, mode_,
+                            tracer_);
   const Level L = tree_->depth_bound;
 
   NodeId current = veto.origin;
@@ -174,7 +176,8 @@ PinpointOutcome PinpointEngine::veto_triggered(const VetoMsg& veto) {
     p_fwd.instance = veto.instance;
     p_fwd.v_max = veto.value;
     p_fwd.level = level;
-    const KeyIndex edge = find_edge_key(current, p_fwd, out, "veto/fig5");
+    const KeyIndex edge =
+        find_edge_key(current, p_fwd, tests, out, "veto/fig5");
     if (edge == kNoKey) return out;
 
     // Figure 6: which holder of that key admits receiving the value from a
@@ -186,7 +189,7 @@ PinpointOutcome PinpointEngine::veto_triggered(const VetoMsg& veto) {
     p_recv.level = level;
     p_recv.id_lo = NodeId{kFullIdLo};
     p_recv.id_hi = NodeId{kFullIdHi};
-    const auto parent = find_holder(edge, p_recv, out, "veto/fig6");
+    const auto parent = find_holder(edge, p_recv, tests, out, "veto/fig6");
     if (!parent.has_value()) return out;
 
     current = *parent;
@@ -199,6 +202,8 @@ PinpointOutcome PinpointEngine::veto_triggered(const VetoMsg& veto) {
 PinpointOutcome PinpointEngine::junk_triggered_aggregation(
     const AggMessage& junk, KeyIndex bs_in_edge, Interval bs_slot) {
   PinpointOutcome out;
+  PredicateTestEngine tests(net_, adversary_, audits_, &out.cost, mode_,
+                            tracer_);
   const Level L = tree_->depth_bound;
   const Digest identity = message_identity(junk);
 
@@ -223,7 +228,8 @@ PinpointOutcome PinpointEngine::junk_triggered_aggregation(
     p_fwd.msg_hash = identity;
     p_fwd.id_lo = NodeId{kFullIdLo};
     p_fwd.id_hi = NodeId{kFullIdHi};
-    const auto forwarder = find_holder(edge, p_fwd, out, "junk-agg/holder");
+    const auto forwarder =
+        find_holder(edge, p_fwd, tests, out, "junk-agg/holder");
     if (!forwarder.has_value()) return out;
 
     // An honest forwarder must have received the junk from someone (it
@@ -233,7 +239,7 @@ PinpointOutcome PinpointEngine::junk_triggered_aggregation(
     p_recv.level = level;
     p_recv.msg_hash = identity;
     const KeyIndex in_edge =
-        find_edge_key(*forwarder, p_recv, out, "junk-agg/in-edge");
+        find_edge_key(*forwarder, p_recv, tests, out, "junk-agg/in-edge");
     if (in_edge == kNoKey) return out;
 
     edge = in_edge;
@@ -246,6 +252,8 @@ PinpointOutcome PinpointEngine::junk_triggered_aggregation(
 PinpointOutcome PinpointEngine::junk_triggered_confirmation(
     const VetoMsg& junk, KeyIndex bs_in_edge, Interval bs_interval) {
   PinpointOutcome out;
+  PredicateTestEngine tests(net_, adversary_, audits_, &out.cost, mode_,
+                            tracer_);
   const Digest identity = message_identity(junk);
 
   KeyIndex edge = bs_in_edge;
@@ -265,7 +273,8 @@ PinpointOutcome PinpointEngine::junk_triggered_confirmation(
     p_fwd.msg_hash = identity;
     p_fwd.id_lo = NodeId{kFullIdLo};
     p_fwd.id_hi = NodeId{kFullIdHi};
-    const auto forwarder = find_holder(edge, p_fwd, out, "junk-sof/holder");
+    const auto forwarder =
+        find_holder(edge, p_fwd, tests, out, "junk-sof/holder");
     if (!forwarder.has_value()) return out;
 
     if (interval <= 1) {
@@ -282,7 +291,7 @@ PinpointOutcome PinpointEngine::junk_triggered_confirmation(
     p_recv.level = interval - 1;
     p_recv.msg_hash = identity;
     const KeyIndex in_edge =
-        find_edge_key(*forwarder, p_recv, out, "junk-sof/in-edge");
+        find_edge_key(*forwarder, p_recv, tests, out, "junk-sof/in-edge");
     if (in_edge == kNoKey) return out;
 
     edge = in_edge;

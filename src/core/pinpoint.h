@@ -79,6 +79,7 @@ class PinpointEngine {
   /// found key, or kNoKey after revoking `owner` (whole-window failure or
   /// inconsistency — the sensor key lied).
   [[nodiscard]] KeyIndex find_edge_key(NodeId owner, Predicate probe,
+                                       PredicateTestEngine& tests,
                                        PinpointOutcome& out,
                                        const char* what);
 
@@ -88,6 +89,7 @@ class PinpointEngine {
   /// (represented as nullopt) after revoking `edge_key`.
   [[nodiscard]] std::optional<NodeId> find_holder(KeyIndex edge_key,
                                                   Predicate probe,
+                                                  PredicateTestEngine& tests,
                                                   PinpointOutcome& out,
                                                   const char* what);
 

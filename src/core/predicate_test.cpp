@@ -1,6 +1,5 @@
 #include "core/predicate_test.h"
 
-#include <deque>
 #include <stdexcept>
 
 namespace vmat {
@@ -19,16 +18,6 @@ PredicateTestEngine::PredicateTestEngine(Network* net, Adversary* adversary,
     throw std::invalid_argument("PredicateTestEngine: null dependency");
 }
 
-bool PredicateTestEngine::holder_is(const KeySpec& key, NodeId node) const {
-  switch (key.type) {
-    case KeySpec::Type::kSensorKey:
-      return node == key.sensor;
-    case KeySpec::Type::kPoolKey:
-      return net_->keys().node_holds(node, key.pool);
-  }
-  return false;
-}
-
 const MacContext& PredicateTestEngine::key_context(const KeySpec& key) const {
   switch (key.type) {
     case KeySpec::Type::kSensorKey:
@@ -39,63 +28,64 @@ const MacContext& PredicateTestEngine::key_context(const KeySpec& key) const {
   throw std::logic_error("key_context: bad key spec");
 }
 
-std::vector<NodeId> PredicateTestEngine::collect_repliers(
-    const KeySpec& key, const Predicate& predicate) {
-  std::vector<NodeId> repliers;
-  for (std::uint32_t id = 0; id < net_->node_count(); ++id) {
-    const NodeId node{id};
-    if (!holder_is(key, node)) continue;
+void PredicateTestEngine::collect_repliers(const KeySpec& key,
+                                           const Predicate& predicate) {
+  repliers_.clear();
+  std::span<const NodeId> holders;
+  if (key.type == KeySpec::Type::kPoolKey) {
+    holders = net_->keys().holders(key.pool);
+  } else if (key.sensor.value < net_->node_count()) {
+    holders = std::span<const NodeId>(&key.sensor, 1);
+  }
+  for (const NodeId node : holders) {
     if (net_->revocation().is_sensor_revoked(node)) continue;
     if (byzantine(adversary_, node)) {
       if (adversary_->strategy().answer_predicate(adversary_->view(),
                                                   predicate, node))
-        repliers.push_back(node);
+        repliers_.push_back(node);
     } else if (evaluate_predicate(predicate, node, *audits_)) {
-      repliers.push_back(node);
+      repliers_.push_back(node);
     }
   }
-  return repliers;
 }
 
-bool PredicateTestEngine::reaches_base_station(
-    const std::vector<NodeId>& repliers) const {
-  if (repliers.empty()) return false;
+bool PredicateTestEngine::reaches_base_station() {
   // Active honest sensors relay the (verifiable) reply; Byzantine sensors
   // pessimistically never relay. BFS from the base station over the active
   // honest subgraph; a replier succeeds if it is in that component (honest
-  // replier) or physically adjacent to it (Byzantine injector).
-  const std::uint32_t n = net_->node_count();
-  std::vector<bool> active(n, false);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    const NodeId node{id};
-    active[id] = !net_->revocation().is_sensor_revoked(node) &&
-                 !byzantine(adversary_, node);
-  }
-  std::vector<bool> reached(n, false);
-  std::deque<NodeId> queue;
-  if (active[kBaseStation.value]) {
-    reached[kBaseStation.value] = true;
-    queue.push_back(kBaseStation);
-  }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : net_->topology().neighbors(u)) {
-      if (!active[v.value] || reached[v.value]) continue;
-      reached[v.value] = true;
-      queue.push_back(v);
+  // replier) or physically adjacent to it (Byzantine injector). The
+  // component depends only on who is revoked, so it is recomputed only
+  // when the registry's generation moves.
+  const std::uint64_t generation = net_->revocation().generation();
+  if (reached_.empty() || reached_generation_ != generation) {
+    auto active = [&](NodeId node) {
+      return !net_->revocation().is_sensor_revoked(node) &&
+             !byzantine(adversary_, node);
+    };
+    reached_.assign(net_->node_count(), 0);
+    std::vector<NodeId> queue;
+    if (active(kBaseStation)) {
+      reached_[kBaseStation.value] = 1;
+      queue.push_back(kBaseStation);
     }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (NodeId v : net_->topology().neighbors(queue[head])) {
+        if (reached_[v.value] != 0 || !active(v)) continue;
+        reached_[v.value] = 1;
+        queue.push_back(v);
+      }
+    }
+    reached_generation_ = generation;
   }
-  for (NodeId r : repliers) {
-    if (reached[r.value]) return true;
+  for (NodeId r : repliers_) {
+    if (reached_[r.value] != 0) return true;
     for (NodeId v : net_->topology().neighbors(r))
-      if (reached[v.value]) return true;
+      if (reached_[v.value] != 0) return true;
   }
   return false;
 }
 
-bool PredicateTestEngine::flood_reply(const std::vector<NodeId>& repliers,
-                                      const Mac& reply, const Digest& token) {
+bool PredicateTestEngine::flood_reply(const Mac& reply, const Digest& token) {
   // One-time verified flood on the actual fabric: the reply needs no edge
   // MAC because every sensor can check a candidate frame against the
   // broadcast token H(MAC_K(N ‖ P)).
@@ -115,7 +105,7 @@ bool PredicateTestEngine::flood_reply(const std::vector<NodeId>& repliers,
   };
 
   std::vector<bool> handled(n, false);
-  std::vector<NodeId> to_send = repliers;
+  std::vector<NodeId> to_send(repliers_.begin(), repliers_.end());
   bool bs_received = false;
 
   const Level L = net_->physical_depth();
@@ -161,11 +151,15 @@ bool PredicateTestEngine::run(const KeySpec& key, const Predicate& predicate) {
   meter_->control_bytes += static_cast<std::uint64_t>(net_->node_count()) *
                            (encode_predicate(predicate).size() + 48);
 
-  const std::vector<NodeId> repliers = collect_repliers(key, predicate);
+  collect_repliers(key, predicate);
 
   bool ok;
-  if (mode_ == PredicateTestMode::kReachability) {
-    ok = reaches_base_station(repliers);
+  if (repliers_.empty()) {
+    // Nobody sends the reply, so it arrives in neither mode (and a key
+    // nobody holds, such as kNoKey, has no MAC context to derive).
+    ok = false;
+  } else if (mode_ == PredicateTestMode::kReachability) {
+    ok = reaches_base_station();
   } else {
     // Message-level mode: derive the actual reply and token and flood it.
     ByteWriter mac_input;
@@ -173,7 +167,7 @@ bool PredicateTestEngine::run(const KeySpec& key, const Predicate& predicate) {
     mac_input.u64(nonce_);
     mac_input.raw(encode_predicate(predicate));
     const Mac reply = key_context(key).compute(mac_input.bytes());
-    ok = flood_reply(repliers, reply, hash_of_mac(reply));
+    ok = flood_reply(reply, hash_of_mac(reply));
   }
   const NodeId subject =
       key.type == KeySpec::Type::kSensorKey ? key.sensor : NodeId{};

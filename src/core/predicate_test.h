@@ -14,11 +14,22 @@
 // holder can freely answer either way — the pinpointing protocols are built
 // to be sound against that.
 //
+// The repliers are found from the base station's holder set for the key
+// ("the base station knows the exact set of the t sensors holding K_e",
+// Section VI-A): the single owner of a sensor key, or
+// Predistribution::holders() of a pool or path key — never a scan of all
+// n sensors. Both modes share that replier set.
+//
 // The engine offers two execution modes:
 //  * kReachability (default): because exactly one byte string can
 //    propagate (every forwarder verifies it against the token), flooding
-//    degenerates to reachability; the engine runs a BFS over active honest
-//    sensors. Exact and fast.
+//    degenerates to reachability: a replier succeeds iff it lies in, or
+//    next to, the base station's component of active honest sensors.
+//    Exact. A test costs O(holders of the tested key); the component is
+//    one BFS per revocation state, reused by every test until the
+//    registry's generation moves (a walk ends at its first revocation, so
+//    all its tests share one BFS). The first test on a pool key also pays
+//    holders()'s one-time O(n) derivation for that key.
 //  * kMessageLevel: the flood actually runs on the fabric — repliers
 //    broadcast MAC_K(N ‖ P), every honest sensor verifies candidate frames
 //    against H(MAC_K(N ‖ P)) and one-time-forwards the first valid one.
@@ -27,6 +38,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "attack/adversary.h"
 #include "core/audit.h"
@@ -85,15 +98,20 @@ class PredicateTestEngine {
   /// Byzantine holders answering via the adversary strategy.
   [[nodiscard]] bool run(const KeySpec& key, const Predicate& predicate);
 
+  /// The sensors that sent the valid reply in the last run(), ascending by
+  /// id: unrevoked holders of its key that satisfied its predicate, or, if
+  /// Byzantine, chose to answer yes.
+  [[nodiscard]] std::span<const NodeId> last_repliers() const noexcept {
+    return repliers_;
+  }
+
  private:
-  [[nodiscard]] bool holder_is(const KeySpec& key, NodeId node) const;
   [[nodiscard]] const MacContext& key_context(const KeySpec& key) const;
-  [[nodiscard]] std::vector<NodeId> collect_repliers(
-      const KeySpec& key, const Predicate& predicate);
-  [[nodiscard]] bool reaches_base_station(
-      const std::vector<NodeId>& repliers) const;
-  [[nodiscard]] bool flood_reply(const std::vector<NodeId>& repliers,
-                                 const Mac& reply, const Digest& token);
+  /// Fill repliers_ from the key's holders, in ascending id order; each
+  /// unrevoked Byzantine holder's strategy is asked once.
+  void collect_repliers(const KeySpec& key, const Predicate& predicate);
+  [[nodiscard]] bool reaches_base_station();
+  [[nodiscard]] bool flood_reply(const Mac& reply, const Digest& token);
 
   Network* net_;
   Adversary* adversary_;
@@ -102,6 +120,12 @@ class PredicateTestEngine {
   PredicateTestMode mode_;
   Tracer tracer_;
   std::uint64_t nonce_{0};
+  std::vector<NodeId> repliers_;
+  /// Base-station component of active honest sensors (1 = reached), valid
+  /// while the revocation registry's generation equals reached_generation_;
+  /// empty until the first kReachability test that has a replier.
+  std::vector<std::uint8_t> reached_;
+  std::uint64_t reached_generation_{0};
 };
 
 }  // namespace vmat

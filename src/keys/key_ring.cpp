@@ -19,6 +19,13 @@ KeyRing::KeyRing(std::uint64_t ring_seed, std::uint32_t ring_size,
 void KeyRing::derive_indices(std::uint64_t ring_seed, std::uint32_t ring_size,
                              std::uint32_t pool_size,
                              std::vector<KeyIndex>& out) {
+  draw_indices(ring_seed, ring_size, pool_size, out);
+  std::sort(out.begin(), out.end());
+}
+
+void KeyRing::draw_indices(std::uint64_t ring_seed, std::uint32_t ring_size,
+                           std::uint32_t pool_size,
+                           std::vector<KeyIndex>& out) {
   out.clear();
   out.reserve(ring_size);
   // Floyd's sampling with the identical draw sequence as
@@ -40,7 +47,6 @@ void KeyRing::derive_indices(std::uint64_t ring_seed, std::uint32_t ring_size,
   }
   for (const KeyIndex k : out)
     scratch[k.value >> 6] &= ~(1ULL << (k.value & 63));
-  std::sort(out.begin(), out.end());
 }
 
 void KeyRing::derive_into_bits(std::uint64_t ring_seed,

@@ -31,6 +31,13 @@ class KeyRing {
                              std::uint32_t pool_size,
                              std::vector<KeyIndex>& out);
 
+  /// derive_indices() without the final sort: the same index set in draw
+  /// order, for callers that only ask whether one index is in it (the
+  /// first holders() query per key tests every node this way).
+  static void draw_indices(std::uint64_t ring_seed, std::uint32_t ring_size,
+                           std::uint32_t pool_size,
+                           std::vector<KeyIndex>& out);
+
   /// derive_indices() straight into a caller-owned zeroed bitmap of
   /// (pool_size+63)/64 words — the membership set without the sorted list
   /// (no allocation, no sort). The bulk edge-key warm uses one row per

@@ -91,14 +91,16 @@ std::span<const NodeId> Predistribution::holders(KeyIndex index) const {
   if (is_path_key(index) || index == kNoKey ||
       index.value >= config_.pool_size)
     return {};  // unknown path keys have no holders; registration fills them
-  // First query for this pool index: derive which rings contain it. O(n)
-  // ring re-derivations, paid once per distinct revoked/pinpointed key.
+  // First query for this pool index: draw every ring into one reused
+  // scratch list and look for the index (unsorted: one membership question
+  // per ring does not pay for a sort). O(n) ring draws, paid once per
+  // distinct tested/revoked key.
   std::vector<NodeId> held_by;
-  std::vector<KeyIndex> scratch;
+  std::vector<KeyIndex> drawn;
   for (std::uint32_t id = 0; id < node_count_; ++id) {
-    KeyRing::derive_indices(ring_seeds_[id], config_.ring_size,
-                            config_.pool_size, scratch);
-    if (std::binary_search(scratch.begin(), scratch.end(), index))
+    KeyRing::draw_indices(ring_seeds_[id], config_.ring_size,
+                          config_.pool_size, drawn);
+    if (std::find(drawn.begin(), drawn.end(), index) != drawn.end())
       held_by.push_back(NodeId{id});
   }
   auto& cached = holders_cache_[index];
@@ -135,6 +137,13 @@ bool Predistribution::node_holds(NodeId node, KeyIndex index) const {
   for (const auto& [peer, held] : path_keys_[node.value])
     if (held == index) return true;
   return false;
+}
+
+std::span<const std::pair<NodeId, KeyIndex>> Predistribution::path_keys_of(
+    NodeId node) const {
+  if (node.value >= node_count_)
+    throw std::out_of_range("Predistribution::path_keys_of");
+  return path_keys_[node.value];
 }
 
 std::vector<KeyIndex> Predistribution::keys_of(NodeId node) const {

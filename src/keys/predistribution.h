@@ -20,6 +20,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "keys/key_pool.h"
@@ -62,6 +63,10 @@ class Predistribution {
   /// Ring membership without touching the LRU: re-derives the node's index
   /// set into a per-thread memo (one derivation per distinct node per
   /// thread in a row, then O(log r) per query). Safe to call concurrently.
+  /// Callers ask about one node at a time: receive-side claimed-key checks
+  /// (Network::holds_claimed_key), the adversary's own-key checks, and
+  /// ground-truth checks in tests. A loop over every node asking about one
+  /// key wants holders() instead, which pays the n derivations once.
   [[nodiscard]] bool ring_contains(NodeId node, KeyIndex index) const;
 
   /// The unique symmetric key a sensor shares with the base station.
@@ -78,9 +83,12 @@ class Predistribution {
   /// All sensors holding `index` (ring membership or path-key endpoint),
   /// sorted by id — "the base station knows the exact set of the t sensors
   /// holding K_e" (Section VI-A, Figure 6 Step 1). Derived on first query
-  /// for a pool index (O(n) ring re-derivations) and cached; pinpointing
-  /// and revocation only ever ask about the handful of keys an execution
-  /// actually burns. NOT thread-safe (cache mutation); serial points only.
+  /// for a pool index (O(n) sort-free ring draws) and cached per queried
+  /// index, never for every key up front. Callers: the Figure 6 holder
+  /// search, every pool- or path-keyed predicate test (its repliers are
+  /// these holders), and θ counting on revocation — so an execution pays
+  /// the derivation only for the handful of keys its walk tests. NOT
+  /// thread-safe (cache mutation); serial points only.
   [[nodiscard]] std::span<const NodeId> holders(KeyIndex index) const;
 
   // --- path keys (Eschenauer-Gligor path-key establishment) ---
@@ -104,6 +112,11 @@ class Predistribution {
   /// Thread-safe: ring membership goes through ring_contains(), path keys
   /// through the read-only per-node list.
   [[nodiscard]] bool node_holds(NodeId node, KeyIndex index) const;
+
+  /// The node's path keys as (peer, index) pairs, in registration order —
+  /// ascending index, all above every pool index.
+  [[nodiscard]] std::span<const std::pair<NodeId, KeyIndex>> path_keys_of(
+      NodeId node) const;
 
   /// Every key index the node holds, sorted ascending: its ring followed by
   /// its path keys. This is the sequence the Figure 5 binary search runs

@@ -14,6 +14,7 @@ RevocationRegistry::RevocationRegistry(const Predistribution* keys,
 void RevocationRegistry::mark_key(KeyIndex key, RevocationCause cause,
                                   std::vector<NodeId>& newly) {
   if (!revoked_keys_.insert(key).second) return;  // already revoked
+  ++generation_;
   events_.push_back({key, cause});
   tracer_.key_revoked(key, cause == RevocationCause::kPinpointed);
   // Only individually pinpointed keys witness adversarial use. A bulk
@@ -31,6 +32,7 @@ void RevocationRegistry::mark_key(KeyIndex key, RevocationCause cause,
 
 void RevocationRegistry::mark_sensor(NodeId node, std::vector<NodeId>& newly) {
   if (!revoked_sensors_.insert(node).second) return;
+  ++generation_;
   revoked_sensor_order_.push_back(node);
   newly.push_back(node);
   tracer_.sensor_revoked(node);
@@ -71,6 +73,7 @@ void RevocationRegistry::snapshot_load(const SavedState& in) {
   revoked_sensor_order_ = in.revoked_sensor_order;
   counts_ = in.counts;
   events_ = in.events;
+  ++generation_;
 }
 
 std::size_t RevocationRegistry::pinpointed_key_count() const noexcept {

@@ -72,6 +72,14 @@ class RevocationRegistry {
   /// about the other holders of those keys and do not contribute.
   [[nodiscard]] std::uint32_t revoked_count(NodeId node) const noexcept;
 
+  /// Bumped by every key or sensor revocation and by every snapshot_load(),
+  /// so one value names one revocation state for as long as it is current.
+  /// Caches derived from the revoked set (the predicate-test engine's
+  /// base-station component) key on it.
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_;
+  }
+
   /// Attach (or detach) the flight recorder: key/sensor revocation events.
   void set_tracer(Tracer tracer) noexcept { tracer_ = tracer; }
 
@@ -119,6 +127,10 @@ class RevocationRegistry {
   std::vector<NodeId> revoked_sensor_order_;
   std::unordered_map<NodeId, std::uint32_t> counts_;
   std::vector<RevocationEvent> events_;
+  // Cache-validity counter, not revocation state: a load bumps it rather
+  // than copying it, so a restored state never reuses a live value.
+  // vmat-analyze: allow(snapshot-field-coverage) -- bumped, never copied
+  std::uint64_t generation_{0};
 };
 
 }  // namespace vmat

@@ -7,6 +7,7 @@
 #include "attack/adversary.h"
 #include "campaign/strategy.h"
 #include "core/coordinator.h"
+#include "core/predicate_test.h"
 #include "sim/network.h"
 #include "spec/simulation_spec.h"
 
@@ -78,6 +79,34 @@ inline bool revocations_sound(const Network& net,
   for (NodeId s : net.revocation().revoked_sensors_in_order())
     if (!malicious.contains(s)) return false;
   return true;
+}
+
+/// The repliers of one keyed predicate test found by scanning all n
+/// sensors: every unrevoked holder of the key, in id order, that satisfies
+/// the predicate or, if Byzantine, answers yes. PredicateTestEngine walks
+/// only the key's holder set; this scan is the oracle that walk is checked
+/// against. Asks each Byzantine holder's strategy once, in the engine's
+/// order.
+inline std::vector<NodeId> full_scan_repliers(Network& net,
+                                              Adversary* adversary,
+                                              const AuditLog& audits,
+                                              const KeySpec& key,
+                                              const Predicate& predicate) {
+  std::vector<NodeId> repliers;
+  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
+    const NodeId node{id};
+    const bool holds = key.type == KeySpec::Type::kSensorKey
+                           ? node == key.sensor
+                           : net.keys().node_holds(node, key.pool);
+    if (!holds || net.revocation().is_sensor_revoked(node)) continue;
+    const bool yes =
+        byzantine(adversary, node)
+            ? adversary->strategy().answer_predicate(adversary->view(),
+                                                     predicate, node)
+            : evaluate_predicate(predicate, node, audits);
+    if (yes) repliers.push_back(node);
+  }
+  return repliers;
 }
 
 /// The small attacked deployment the exact-output pins run on: n=60 on

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "core/coordinator.h"
 #include "helpers.h"
@@ -204,6 +205,77 @@ TEST(Pinpoint, CostStaysWithinTheoremSixBounds) {
       (std::log2(static_cast<double>(s.net.keys().config().pool_size)) + 4);
   EXPECT_LE(out.pinpoint_cost.predicate_tests, bound);
   EXPECT_GE(out.pinpoint_cost.predicate_tests, 1);
+}
+
+/// Digest of one attacked streak: 30 run_min executions on n=100, f=4,
+/// θ=8 sparse rings under a named preset. It folds every ExecutionOutcome
+/// field pinpointing decides (kind, minima, revoked keys and sensors,
+/// reason, pinpoint cost, fabric bytes), so a change to how predicate
+/// tests are run that moves any walk shows up here. `disrupted` counts the
+/// executions that produced no result.
+std::uint64_t streak_outcome_digest(std::string_view attack_name,
+                                    int& disrupted) {
+  SimulationSpec spec;
+  spec.nodes(100).key_pool(1000, 60).revocation_threshold(8).seed(11);
+  const campaign::NamedAttack& attack = *campaign::find_attack(attack_name);
+  spec.attack().compromised(4).placement_seed(3).policy(attack.policy).when(
+      attack.when);
+  Network net(spec);
+  auto built = spec.build_adversary(net);
+  if (!built.has_value()) {
+    ADD_FAILURE() << built.error().to_string();
+    return 0;
+  }
+  const std::unique_ptr<Adversary>& adv = built.value();
+  spec.depth_bound(net.topology().depth(adv->malicious()));
+  VmatCoordinator coordinator(&net, adv.get(), spec);
+  const auto readings = default_readings(net.node_count());
+  using testing::fold;
+  std::uint64_t digest = 0;
+  disrupted = 0;
+  for (int execution = 0; execution < 30; ++execution) {
+    const ExecutionOutcome out = coordinator.run_min(readings);
+    if (!out.produced_result()) ++disrupted;
+    digest = fold(digest, static_cast<std::uint64_t>(out.kind));
+    for (const Reading minimum : out.minima)
+      digest = fold(digest, static_cast<std::uint64_t>(minimum));
+    digest = fold(digest, out.revoked_keys.size());
+    for (const KeyIndex key : out.revoked_keys) digest = fold(digest, key.value);
+    digest = fold(digest, out.revoked_sensors.size());
+    for (const NodeId sensor : out.revoked_sensors)
+      digest = fold(digest, sensor.value);
+    for (const char c : out.reason)
+      digest = fold(digest, static_cast<unsigned char>(c));
+    digest = fold(digest, static_cast<std::uint64_t>(
+                              out.pinpoint_cost.flooding_rounds));
+    digest = fold(digest, static_cast<std::uint64_t>(
+                              out.pinpoint_cost.predicate_tests));
+    digest = fold(digest, out.pinpoint_cost.control_bytes);
+    digest = fold(digest, out.fabric_bytes);
+  }
+  return digest;
+}
+
+TEST(Pinpoint, AttackedStreakOutcomesMatchRecordedDigests) {
+  // Recorded before predicate tests were narrowed from every sensor to the
+  // tested key's holders: the walks, their costs and their revocations
+  // must not move.
+  struct Recorded {
+    std::string_view attack;
+    std::uint64_t digest;
+    int disrupted;
+  };
+  const Recorded recorded[] = {
+      {"junk", 0x024e84322634ff81, 28},
+      {"choke", 0xc85d740a40761c6d, 29},
+      {"selfveto", 0x91c590acdc9729d6, 25},
+  };
+  for (const Recorded& r : recorded) {
+    int disrupted = 0;
+    const std::uint64_t digest = streak_outcome_digest(r.attack, disrupted);
+    EXPECT_EQ(digest, r.digest) << r.attack;
+    EXPECT_EQ(disrupted, r.disrupted) << r.attack;
+  }
 }
 
 }  // namespace

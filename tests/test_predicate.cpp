@@ -176,8 +176,10 @@ TEST(Predicate, NoAuditNeverSatisfies) {
 // --- engine tests (Theorem 3) over a real aggregation run ---
 
 struct EngineFixture {
-  EngineFixture()
-      : net(Topology::line(6), dense_keys()), audits(net.node_count()) {
+  explicit EngineFixture(Topology topology = Topology::line(6),
+                         const NetworkSpec& keys = dense_keys())
+      : net(std::move(topology), keys), audits(net.node_count()) {
+    (void)net.establish_path_keys();  // none needed on dense rings
     TreePhaseParams tp;
     tp.depth_bound = net.physical_depth();
     tp.session = 1;
@@ -333,6 +335,12 @@ TEST(PredicateEngine, MessageLevelDropsJunkFrames) {
   (void)fx.net.fabric().send(junk);
   EXPECT_FALSE(engine.run(KeySpec::sensor_key(NodeId{3}),
                           fx.forwarded_probe(4, 1)));
+  // A test nobody can answer sends no reply, so it never floods; a
+  // satisfiable one floods for real over the stuffed fabric, and the one
+  // valid reply still reaches the base station.
+  (void)fx.net.fabric().send(junk);
+  EXPECT_TRUE(engine.run(KeySpec::sensor_key(NodeId{3}),
+                         fx.forwarded_probe(3, 1)));
 }
 
 TEST(PredicateEngine, ReplyBlockedByByzantineCutFails) {
@@ -352,6 +360,107 @@ TEST(PredicateEngine, ReplyBlockedByByzantineCutFails) {
   PredicateTestEngine engine2(&fx.net, &adv2, &fx.audits, &meter);
   EXPECT_TRUE(engine2.run(KeySpec::sensor_key(NodeId{1}),
                           fx.forwarded_probe(99, 1)));
+}
+
+// --- replier set: the tested key's holders, not every sensor ---
+
+TEST(PredicateTest, RepliersMatchFullScan) {
+  // Mid-density rings on a grid: pool keys have several holders each, and
+  // the few edges whose rings share nothing get path keys (the path-key
+  // establishment test_path_keys exercises).
+  NetworkSpec keys;
+  keys.keys.pool_size = 600;
+  keys.keys.ring_size = 40;
+  keys.keys.seed = 11;
+  EngineFixture fx(Topology::grid(8, 8), keys);
+  const Predistribution& pd = fx.net.keys();
+
+  // A pool key some sensor forwarded on, with at least four holders (room
+  // for Byzantine, revoked and honest ones), and a registered path key.
+  KeyIndex pool = kNoKey;
+  KeyIndex path = kNoKey;
+  for (std::uint32_t id = 1; id < fx.net.node_count(); ++id) {
+    for (const ForwardRecord& f : fx.audits.forwarded_of(NodeId{id}))
+      if (pool == kNoKey && !pd.is_path_key(f.out_edge) &&
+          pd.holders(f.out_edge).size() >= 4)
+        pool = f.out_edge;
+    if (path == kNoKey && !pd.path_keys_of(NodeId{id}).empty())
+      path = pd.path_keys_of(NodeId{id}).front().second;
+  }
+  ASSERT_NE(pool, kNoKey);
+  ASSERT_NE(path, kNoKey);
+  std::vector<NodeId> non_bs;
+  for (NodeId h : pd.holders(pool))
+    if (h != kBaseStation) non_bs.push_back(h);
+  ASSERT_GE(non_bs.size(), 3u);
+  const NodeId path_end = pd.holders(path).back();
+
+  const KeySpec specs[] = {
+      KeySpec::pool_key(pool), KeySpec::pool_key(path),
+      KeySpec::sensor_key(non_bs[0]), KeySpec::sensor_key(path_end),
+      KeySpec::pool_key(kNoKey)};
+  auto check_all = [&](Adversary* adv, const char* label) {
+    std::size_t nonempty = 0;
+    for (const KeySpec& key : specs)
+      for (Level level = 1; level <= fx.tree.depth_bound + 1; ++level)
+        for (Reading v_max : {Reading{1}, Reading{150}, kInfinity - 1})
+          for (const PredicateTestMode mode :
+               {PredicateTestMode::kReachability,
+                PredicateTestMode::kMessageLevel}) {
+            const Predicate p = fx.forwarded_probe(level, v_max);
+            const std::vector<NodeId> expected = testing::full_scan_repliers(
+                fx.net, adv, fx.audits, key, p);
+            CostMeter meter;
+            PredicateTestEngine engine(&fx.net, adv, &fx.audits, &meter, mode);
+            (void)engine.run(key, p);
+            const std::vector<NodeId> got(engine.last_repliers().begin(),
+                                          engine.last_repliers().end());
+            EXPECT_EQ(got, expected)
+                << label << " key=" << key.pool.value << "/"
+                << key.sensor.value << " level=" << level
+                << " v_max=" << v_max;
+            if (!got.empty()) ++nonempty;
+          }
+    EXPECT_GT(nonempty, 0u) << label;  // the grid exercises real repliers
+  };
+
+  check_all(nullptr, "honest");
+  // Byzantine holders of the pool key, answering yes to everything, then
+  // no to everything.
+  for (const LiePolicy lie : {LiePolicy::kAdmitAll, LiePolicy::kDenyAll}) {
+    Adversary adv(&fx.net, {non_bs[0], path_end},
+                  campaign::make_named_strategy("silent", lie));
+    check_all(&adv, lie == LiePolicy::kAdmitAll ? "admit" : "deny");
+  }
+  // A revoked holder of each key never replies.
+  (void)fx.net.revocation().revoke_sensor(non_bs[1]);
+  (void)fx.net.revocation().revoke_sensor(pd.holders(path).front());
+  Adversary adv(&fx.net, {non_bs[0], non_bs[2]},
+                campaign::make_named_strategy("silent", LiePolicy::kAdmitAll));
+  check_all(nullptr, "revoked");
+  check_all(&adv, "revoked+admit");
+}
+
+TEST(PredicateTest, RevocationBetweenTestsRecomputesTheComponent) {
+  // Line 0-1-2-3-4-5: node 3 forwarded value 1 at level 3. One engine
+  // caches the base station's component across tests; revoking honest
+  // node 2 cuts node 3 off, and the next test on the same engine must see
+  // it. Restoring the pre-revocation registry heals the cut again.
+  EngineFixture fx;
+  CostMeter meter;
+  PredicateTestEngine engine(&fx.net, nullptr, &fx.audits, &meter);
+  const KeySpec key = KeySpec::sensor_key(NodeId{3});
+  const Predicate p = fx.forwarded_probe(3, 1);
+  ASSERT_TRUE(engine.run(key, p));
+
+  RevocationRegistry::SavedState before;
+  fx.net.revocation().snapshot_save(before);
+  (void)fx.net.revocation().revoke_sensor(NodeId{2});
+  EXPECT_FALSE(engine.run(key, p));
+  ASSERT_EQ(engine.last_repliers().size(), 1u);  // node 3 still answers
+
+  fx.net.revocation().snapshot_load(before);
+  EXPECT_TRUE(engine.run(key, p));
 }
 
 }  // namespace
